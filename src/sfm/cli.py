@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -43,8 +44,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def to_json(document) -> str:
-    """Canonical JSON rendering; reformatting a parsed document is byte-stable."""
-    return json.dumps(document, indent=2)
+    """Canonical JSON rendering; reformatting a parsed document is byte-stable.
+
+    Non-finite floats raise ValueError, so stdout never carries NaN/Infinity.
+    """
+    return json.dumps(document, indent=2, allow_nan=False)
+
+
+def _checked(convert, accept, requirement: str):
+    """An argparse type that converts with ``convert`` and rejects values failing ``accept``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "must be a finite number")
+_non_negative_int = _checked(int, lambda value: value >= 0, "must be an integer >= 0")
 
 
 def _residuals_doc(residuals) -> dict:
@@ -85,14 +106,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("manifold", help="trace the solution family over tau")
     add_data(p)
     add_switches(p)
-    p.add_argument("--tau-min", type=float, required=True)
-    p.add_argument("--tau-max", type=float, required=True)
+    p.add_argument("--tau-min", type=_finite_float, required=True)
+    p.add_argument("--tau-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("validate", help="Monte Carlo check of lognormal identities")
     p.add_argument("--draws", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("classify", help="investor reports in the published layout")
@@ -241,10 +262,10 @@ def _cmd_validate(args):
             for c in report.cases
         ],
     }
-    payload = to_json(doc)
     if not report.ok:
-        return CommandOutcome(3, f"identity validation failed\n{payload}")
-    return payload
+        # stderr diagnostic: an infinite z (zero standard error) may show here
+        return CommandOutcome(3, f"identity validation failed\n{json.dumps(doc, indent=2)}")
+    return to_json(doc)
 
 
 def _classify_table(reports) -> str:

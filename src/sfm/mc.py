@@ -1,17 +1,19 @@
 """Monte Carlo oracle for the jointly-lognormal covariance identities.
 
-Draws are generated in fixed-size chunks with counter-based per-chunk
-seeding (``default_rng([seed, chunk_index])``), so results are deterministic
-for a given (spec, n, seed) regardless of how chunks would be distributed
-across workers, and memory stays bounded at any draw count. Statistics are
-accumulated in two passes over the regenerated stream: means first, then
-centered second moments.
+Normals are drawn in fixed-size chunks with counter-based per-chunk seeding
+(``default_rng([seed, chunk_index])``), so results are deterministic for a
+given (spec, n, seed) and memory stays bounded at any draw count. A chunk's
+two normal vectors do not depend on the spec, so one pass over the stream
+serves any number of (spec, powers) groups: each chunk is drawn once and
+walked in cache-sized blocks, and every group accumulates sums of its
+values shifted by their first-block means. The centred moments and their
+standard errors follow from those sums in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from .model import lognormal_power_cov
 
 _CHUNK = 1 << 19
+_BLOCK = 1 << 14  # draws per block; a block's arrays stay in cache
 
 # Acceptance band for a single identity check, in standard errors. At 4 the
 # per-case false-alarm rate is about 6e-5, low enough for a stable suite.
@@ -88,24 +91,126 @@ class ValidationReport:
     cases: tuple[IdentityCheck, ...]
 
 
-def _chunk_sizes(n: int):
-    index = 0
-    remaining = n
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        yield index, size
-        index += 1
-        remaining -= size
+def _normals(seed: int, index: int, zx: np.ndarray, z_perp: np.ndarray) -> None:
+    """Fill zx and z_perp with the standard normals of chunk ``index``."""
+    rng = np.random.default_rng([seed, index])
+    rng.standard_normal(out=zx)
+    rng.standard_normal(out=z_perp)
+
+
+def _pair(spec: BivariateLogNormalSpec, zx, z_perp, x, y):
+    """Write x = exp(mu_x + sigma_x zx) and y = exp(mu_y + sigma_y zy) in place.
+
+    zy = rho zx + sqrt(1 - rho^2) z_perp; x holds its second term meanwhile.
+    """
+    np.multiply(zx, spec.rho, out=y)
+    np.multiply(z_perp, math.sqrt(1.0 - spec.rho**2), out=x)
+    np.add(y, x, out=y)
+    np.multiply(y, spec.sigma_y, out=y)
+    np.add(y, spec.mu_y, out=y)
+    np.exp(y, out=y)
+    np.multiply(zx, spec.sigma_x, out=x)
+    np.add(x, spec.mu_x, out=x)
+    np.exp(x, out=x)
+    return x, y
 
 
 def _draw_chunk(spec: BivariateLogNormalSpec, seed: int, index: int, size: int):
-    rng = np.random.default_rng([seed, index])
-    zx = rng.standard_normal(size)
-    z_perp = rng.standard_normal(size)
-    zy = spec.rho * zx + math.sqrt(1.0 - spec.rho**2) * z_perp
-    x = np.exp(spec.mu_x + spec.sigma_x * zx)
-    y = np.exp(spec.mu_y + spec.sigma_y * zy)
-    return x, y
+    """Chunk ``index`` of the (x, y) stream: the reference for the accumulator."""
+    zx, z_perp, x, y = (np.empty(size) for _ in range(4))
+    _normals(seed, index, zx, z_perp)
+    return _pair(spec, zx, z_perp, x, y)
+
+
+def _shift(w: np.ndarray, row: np.ndarray, k: int, first: bool) -> None:
+    """Subtract the shift row[k] from w in place; the first block sets it to w's mean."""
+    if first:
+        row[k] = w.mean()
+    np.subtract(w, row[k], out=w)
+
+
+def _dot(p: np.ndarray, q: np.ndarray):
+    """Sum of p * q, without a temporary array."""
+    return np.einsum("i,i->", p, q)
+
+
+def _blocks(n: int, seed: int):
+    """Yield the stream's normals (zx, z_perp) as views of cache-sized blocks."""
+    zx, z_perp = np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n))
+    for index, start in enumerate(range(0, n, _CHUNK)):
+        size = min(_CHUNK, n - start)
+        _normals(seed, index, zx[:size], z_perp[:size])
+        for lo in range(0, size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
+            yield zx[lo:hi], z_perp[lo:hi]
+
+
+def _accumulate(groups, n: int, seed: int) -> list[SampleSummary]:
+    """Summaries of every (spec, powers) group from one pass over the stream.
+
+    Every group sees the same normals, drawn once per chunk. Sums are taken
+    of values shifted by their mean over the first block, which keeps them
+    small and the closed-form centring in ``_summary`` free of cancellation.
+    Per group the marginal rows hold (shift, sum w', sum w'^2) for w = x, y;
+    each power row holds (c_u, c_v, sum u', sum v', sum u'v', sum u'^2,
+    sum v'^2, sum u'^2 v', sum u' v'^2, sum u'^2 v'^2) for u = x^a, v = y^b.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 draws")
+    buffers = [np.empty(min(_BLOCK, n)) for _ in range(5)]
+    marginals = [np.zeros((2, 3)) for _ in groups]
+    crosses = [np.zeros((len(powers), 10)) for _, powers in groups]
+    for block, (zx, z_perp) in enumerate(_blocks(n, seed)):
+        first = block == 0
+        x, y, u, v, p = (w[:len(zx)] for w in buffers)
+        for (spec, powers), marginal, cross in zip(groups, marginals, crosses):
+            _pair(spec, zx, z_perp, x, y)
+            for (a, b), row in zip(powers, cross):
+                np.power(x, a, out=u)
+                np.power(y, b, out=v)
+                _shift(u, row, 0, first)
+                _shift(v, row, 1, first)
+                np.multiply(u, v, out=p)
+                row[2:] += (u.sum(), v.sum(), p.sum(), _dot(u, u), _dot(v, v),
+                            _dot(u, p), _dot(v, p), _dot(p, p))
+            for w, row in zip((x, y), marginal):
+                _shift(w, row, 0, first)
+                row[1:] += (w.sum(), _dot(w, w))
+    return [_summary(n, seed, powers, marginal, cross)
+            for (_, powers), marginal, cross in zip(groups, marginals, crosses)]
+
+
+def _summary(n: int, seed: int, powers, marginal, cross) -> SampleSummary:
+    """Centre the shifted sums in closed form."""
+    (c_x, s_x, ss_x), (c_y, s_y, ss_y) = marginal.tolist()
+
+    def se_mean(s, ss):
+        return math.sqrt(max((ss - s * s / n) / (n - 1), 0.0) / n)
+
+    covs = []
+    for (a, b), row in zip(powers, cross.tolist()):
+        s_u, s_v, s_uv, s_uu, s_vv, s_uuv, s_uvv, s_uuvv = row[2:]
+        m_u, m_v = s_u / n, s_v / n
+        # sum (u - mean u)(v - mean v), and the sum of its squared terms
+        sum_prod = s_uv - s_u * m_v
+        sum_prod2 = (s_uuvv - 2.0 * m_v * s_uuv - 2.0 * m_u * s_uvv
+                     + m_v * m_v * s_uu + m_u * m_u * s_vv
+                     + 4.0 * m_u * m_v * s_uv - 3.0 * n * (m_u * m_v) ** 2)
+        var_prod = sum_prod2 / n - (sum_prod / n) ** 2
+        covs.append(PowerCovSample(
+            a=a, b=b, value=sum_prod / (n - 1),
+            std_error=math.sqrt(max(var_prod, 0.0) / n),
+        ))
+
+    return SampleSummary(
+        n=n,
+        seed=seed,
+        mean_x=c_x + s_x / n,
+        mean_y=c_y + s_y / n,
+        se_mean_x=se_mean(s_x, ss_x),
+        se_mean_y=se_mean(s_y, ss_y),
+        power_covs=tuple(covs),
+    )
 
 
 def sample_pairs(spec: BivariateLogNormalSpec, n: int, seed: int,
@@ -118,56 +223,8 @@ def sample_pairs(spec: BivariateLogNormalSpec, n: int, seed: int,
         seed: RNG seed; identical (spec, n, seed) gives identical output.
         powers: (a, b) exponent pairs whose sample covariance is requested.
     """
-    if n < 2:
-        raise ValueError("need at least 2 draws")
     powers = tuple((float(a), float(b)) for a, b in powers)
-
-    # Pass 1: means of x, y and of each power.
-    sum_x = sum_y = 0.0
-    sum_u = np.zeros(len(powers))
-    sum_v = np.zeros(len(powers))
-    for index, size in _chunk_sizes(n):
-        x, y = _draw_chunk(spec, seed, index, size)
-        sum_x += float(x.sum())
-        sum_y += float(y.sum())
-        for j, (a, b) in enumerate(powers):
-            sum_u[j] += float((x**a).sum())
-            sum_v[j] += float((y**b).sum())
-    mean_x = float(sum_x) / n
-    mean_y = float(sum_y) / n
-    mean_u = sum_u / n
-    mean_v = sum_v / n
-
-    # Pass 2: centered second moments over the regenerated stream.
-    ss_x = ss_y = 0.0
-    sum_prod = np.zeros(len(powers))
-    sum_prod2 = np.zeros(len(powers))
-    for index, size in _chunk_sizes(n):
-        x, y = _draw_chunk(spec, seed, index, size)
-        ss_x += float(((x - mean_x) ** 2).sum())
-        ss_y += float(((y - mean_y) ** 2).sum())
-        for j, (a, b) in enumerate(powers):
-            prod = (x**a - mean_u[j]) * (y**b - mean_v[j])
-            sum_prod[j] += float(prod.sum())
-            sum_prod2[j] += float((prod**2).sum())
-
-    covs = []
-    for j, (a, b) in enumerate(powers):
-        cov = float(sum_prod[j]) / (n - 1)
-        var_prod = float(sum_prod2[j]) / n - (float(sum_prod[j]) / n) ** 2
-        covs.append(PowerCovSample(
-            a=a, b=b, value=cov, std_error=math.sqrt(max(var_prod, 0.0) / n),
-        ))
-
-    return SampleSummary(
-        n=n,
-        seed=seed,
-        mean_x=mean_x,
-        mean_y=mean_y,
-        se_mean_x=math.sqrt(max(ss_x / (n - 1), 0.0) / n),
-        se_mean_y=math.sqrt(max(ss_y / (n - 1), 0.0) / n),
-        power_covs=tuple(covs),
-    )
+    return _accumulate([(spec, powers)], n, seed)[0]
 
 
 def _z_score(diff: float, se: float) -> float:
@@ -192,6 +249,21 @@ def _battery() -> list[tuple[str, BivariateLogNormalSpec, float, float]]:
     return cases
 
 
+def _battery_summaries(draws: int, seed: int):
+    """(name, spec, a, b, summary) per battery case, from one pass over the stream.
+
+    Cases that share a spec share one group, so its (x, y) is formed once.
+    """
+    cases = _battery()
+    groups: dict[BivariateLogNormalSpec, list[tuple[float, float]]] = {}
+    for _, spec, a, b in cases:
+        groups.setdefault(spec, []).append((a, b))
+    summaries = dict(zip(groups, _accumulate(list(groups.items()), draws, seed)))
+    covs = {spec: iter(summary.power_covs) for spec, summary in summaries.items()}
+    return [(name, spec, a, b, replace(summaries[spec], power_covs=(next(covs[spec]),)))
+            for name, spec, a, b in cases]
+
+
 def validate_identities(draws: int, seed: int = 42) -> ValidationReport:
     """Run the fixed identity battery; pass iff every check is within 4 SE.
 
@@ -202,8 +274,7 @@ def validate_identities(draws: int, seed: int = 42) -> ValidationReport:
         raise ValueError("need at least 1e4 draws")
 
     checks: list[IdentityCheck] = []
-    for name, spec, a, b in _battery():
-        summary = sample_pairs(spec, draws, seed, powers=((a, b),))
+    for name, spec, a, b, summary in _battery_summaries(draws, seed):
         closed = lognormal_power_cov(
             a, b, spec.mu_x, spec.sigma_x, spec.mu_y, spec.sigma_y, spec.rho
         )

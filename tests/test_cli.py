@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sfm.cli import run_command, to_json
+from sfm.cli import main, run_command, to_json
 
 from conftest import DATA_PATH
 
@@ -47,6 +47,27 @@ class TestExitCodes:
 
     def test_success_is_exit_0(self):
         assert run_command(["moments", "--data", DATA]).exit_code == 0
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["validate", "--draws", "10000", "--seed", "-1"], "--seed"),
+        (["manifold", "--data", DATA, "--tau-min", "0.5", "--tau-max", "nan",
+          "--steps", "5"], "--tau-max"),
+        (["manifold", "--data", DATA, "--tau-min", "inf", "--tau-max", "2",
+          "--steps", "5"], "--tau-min"),
+    ], ids=["seed-negative", "tau-max-nan", "tau-min-inf"])
+    def test_bad_value_is_usage_error_on_stderr(self, argv, flag, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["sfm", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 1
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError):
+            to_json({"x": value})
 
 
 class TestMomentsCommand:

@@ -4,11 +4,47 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
-from sfm.mc import _draw_chunk
+from sfm.mc import _BLOCK, _CHUNK, PowerCovSample, SampleSummary, _battery_summaries, _draw_chunk
 
 GOLDEN = Path(__file__).parent / "data" / "mc_validation_1e6_seed42.json"
+
+
+def two_pass_summary(spec, n, seed, powers) -> SampleSummary:
+    """Reference: means, then centred moments, over the concatenated stream."""
+    chunks = [_draw_chunk(spec, seed, index, min(_CHUNK, n - start))
+              for index, start in enumerate(range(0, n, _CHUNK))]
+    x = np.concatenate([x for x, _ in chunks])
+    y = np.concatenate([y for _, y in chunks])
+    covs = []
+    for a, b in powers:
+        u, v = x**a, y**b
+        prod = (u - u.mean()) * (v - v.mean())
+        var_prod = float(np.mean(prod**2) - np.mean(prod) ** 2)
+        covs.append(PowerCovSample(a=a, b=b, value=float(prod.sum()) / (n - 1),
+                                   std_error=math.sqrt(max(var_prod, 0.0) / n)))
+    return SampleSummary(
+        n=n, seed=seed, mean_x=float(x.mean()), mean_y=float(y.mean()),
+        se_mean_x=float(x.std(ddof=1)) / math.sqrt(n),
+        se_mean_y=float(y.std(ddof=1)) / math.sqrt(n),
+        power_covs=tuple(covs),
+    )
+
+
+def assert_agrees(got: SampleSummary, want: SampleSummary) -> None:
+    assert (got.n, got.seed) == (want.n, want.seed)
+    assert got.mean_x == pytest.approx(want.mean_x, rel=1e-12, abs=0.0)
+    assert got.mean_y == pytest.approx(want.mean_y, rel=1e-12, abs=0.0)
+    assert got.se_mean_x == pytest.approx(want.se_mean_x, rel=1e-10, abs=0.0)
+    assert got.se_mean_y == pytest.approx(want.se_mean_y, rel=1e-10, abs=0.0)
+    assert len(got.power_covs) == len(want.power_covs)
+    for g, w in zip(got.power_covs, want.power_covs):
+        assert (g.a, g.b) == (w.a, w.b)
+        assert g.value == pytest.approx(w.value, rel=1e-10, abs=0.0)
+        assert g.std_error == pytest.approx(w.std_error, rel=1e-10, abs=0.0)
 
 
 class TestSamplePairs:
@@ -36,28 +72,39 @@ class TestSamplePairs:
         assert a == b
 
     def test_chunked_accumulation_matches_direct_numpy(self):
-        # Spans multiple chunks; the merged sums must agree with a direct
-        # computation over the concatenated stream.
+        # Spans multiple chunks; the one-pass sums must agree with a direct
+        # two-pass computation over the concatenated stream.
         spec = BivariateLogNormalSpec(0.01, 0.05, 0.03, 0.2, -0.3)
+        powers = ((-1.0, 2.0), (-4.4, 1.0), (0.5, 1.5))
         n = 700_000  # > one chunk
-        summary = sample_pairs(spec, n, seed=5, powers=((-1.0, 2.0),))
-        xs, ys = [], []
-        index = 0
-        remaining = n
-        while remaining > 0:
-            size = min(1 << 19, remaining)
-            x, y = _draw_chunk(spec, 5, index, size)
-            xs.append(x)
-            ys.append(y)
-            index += 1
-            remaining -= size
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        assert summary.mean_x == pytest.approx(float(x.mean()), rel=1e-12)
-        assert summary.mean_y == pytest.approx(float(y.mean()), rel=1e-12)
-        u, v = x**-1.0, y**2.0
-        direct_cov = float(((u - u.mean()) * (v - v.mean())).sum() / (n - 1))
-        assert summary.power_covs[0].value == pytest.approx(direct_cov, rel=1e-10)
+        assert_agrees(sample_pairs(spec, n, seed=5, powers=powers),
+                      two_pass_summary(spec, n, 5, powers))
+
+    def test_high_mean_spec_matches_direct_numpy(self):
+        # Means 50x the spread: sums of unshifted values would cancel.
+        spec = BivariateLogNormalSpec(4.0, 0.02, 4.0, 0.02, 0.3)
+        powers = ((1.0, 1.0), (2.0, -1.0))
+        n = 700_000
+        assert_agrees(sample_pairs(spec, n, seed=8, powers=powers),
+                      two_pass_summary(spec, n, 8, powers))
+
+    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
+    @given(
+        spec=st.builds(
+            BivariateLogNormalSpec,
+            mu_x=st.floats(-1.0, 4.0), sigma_x=st.floats(0.01, 0.3),
+            mu_y=st.floats(-1.0, 4.0), sigma_y=st.floats(0.01, 0.3),
+            rho=st.floats(-1.0, 1.0),
+        ),
+        powers=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                        min_size=1, max_size=3),
+        extra=st.integers(1, 3 * _BLOCK),
+        seed=st.integers(0, 2**31),
+    )
+    def test_two_chunk_property(self, spec, powers, extra, seed):
+        n = _CHUNK + extra
+        assert_agrees(sample_pairs(spec, n, seed, powers),
+                      two_pass_summary(spec, n, seed, powers))
 
     def test_needs_two_draws(self):
         spec = BivariateLogNormalSpec(0.0, 0.1, 0.0, 0.1, 0.0)
@@ -99,6 +146,12 @@ class TestValidateIdentities:
         assert constant.closed_form == 0.0 and constant.sample == 0.0 and constant.z == 0.0
         tau0 = by_name[("bundled mrs tau=0.0", "power-cov")]
         assert tau0.closed_form == 0.0 and tau0.sample == 0.0 and tau0.z == 0.0
+
+    def test_battery_cases_match_single_group_calls(self):
+        # Sharing one stream couples no cases: each equals its own call.
+        draws = 3 * _BLOCK + 17
+        for _name, spec, a, b, summary in _battery_summaries(draws, 13):
+            assert summary == sample_pairs(spec, draws, 13, ((a, b),))
 
     def test_golden_regression_fixture(self):
         golden = json.loads(GOLDEN.read_text())
