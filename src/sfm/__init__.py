@@ -25,7 +25,6 @@ from .model import (
     euler_gap,
     jacobian,
     lognormal_power_cov,
-    mrs_return_cov,
     residual_vector,
 )
 from .moments import MomentSet, estimate_moments, lognormality_gap
@@ -74,7 +73,6 @@ __all__ = [
     "load_series",
     "lognormal_power_cov",
     "lognormality_gap",
-    "mrs_return_cov",
     "rank_diagnostics",
     "residual_floor",
     "residual_vector",

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,16 +68,6 @@ _finite_float = _checked(float, math.isfinite, "must be a finite number")
 _non_negative_int = _checked(int, lambda value: value >= 0, "must be an integer >= 0")
 
 
-def _residuals_doc(residuals) -> dict:
-    return {
-        "r2": residuals.r2,
-        "r3": residuals.r3,
-        "r4": residuals.r4,
-        "r5": residuals.r5,
-        "norm": residuals.norm,
-    }
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sfm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,10 +87,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="damped least-squares solve of the system")
     add_data(p)
     add_switches(p)
-    p.add_argument("--beta0", type=float, default=0.99)
-    p.add_argument("--omega0", type=float, default=1.0)
-    p.add_argument("--delta0", type=float, default=1.0)
-    p.add_argument("--tau0", type=float, default=2.0)
+    p.add_argument("--beta0", type=_finite_float, default=0.99)
+    p.add_argument("--omega0", type=_finite_float, default=1.0)
+    p.add_argument("--delta0", type=_finite_float, default=1.0)
+    p.add_argument("--tau0", type=_finite_float, default=2.0)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("manifold", help="trace the solution family over tau")
@@ -119,10 +109,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="investor reports in the published layout")
     add_data(p)
     p.add_argument("--year", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--sfom-equity", type=float, required=True)
-    p.add_argument("--sfom-riskfree", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
+    p.add_argument("--sfom-equity", type=_finite_float, required=True)
+    p.add_argument("--sfom-riskfree", type=_finite_float, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     return parser
@@ -140,31 +130,13 @@ def _load_moments(args, convention: str):
 
 def _cmd_moments(args) -> str:
     m = _load_moments(args, args.variance)
-    doc = {
-        "mu_x": m.mu_x,
-        "sigma2_x": m.sigma2_x,
-        "mu_r": m.mu_r,
-        "sigma2_r": m.sigma2_r,
-        "rho": m.rho,
-        "mean_x": m.mean_x,
-        "mean_re": m.mean_re,
-        "mean_rf": m.mean_rf,
-        "n_obs": m.n_obs,
-        "convention": m.convention,
-        "gap": lognormality_gap(m),
-    }
-    return to_json(doc)
+    return to_json({**asdict(m), "gap": lognormality_gap(m)})
 
 
 def _solution_doc(solution, gap: float) -> dict:
     return {
-        "params": {
-            "beta": solution.params.beta,
-            "omega": solution.params.omega,
-            "delta": solution.params.delta,
-            "tau": solution.params.tau,
-        },
-        "residuals": _residuals_doc(solution.residuals),
+        "params": vars(solution.params),
+        "residuals": vars(solution.residuals),
         "rank": solution.numerical_rank,
         "singular_values": list(solution.jacobian_singular_values),
         "gap": gap,
@@ -227,16 +199,7 @@ def _cmd_manifold(args) -> str:
     points = trace_manifold(m, grid, _options(args))
     doc = {
         "gap": lognormality_gap(m),
-        "points": [
-            {
-                "tau": pt.tau,
-                "beta": pt.beta,
-                "omega": pt.omega,
-                "delta": pt.delta,
-                "residuals": _residuals_doc(pt.residuals),
-            }
-            for pt in points
-        ],
+        "points": [{**vars(pt), "residuals": vars(pt.residuals)} for pt in points],
     }
     return to_json(doc)
 
@@ -245,23 +208,7 @@ def _cmd_validate(args):
     from .mc import validate_identities
 
     report = validate_identities(args.draws, args.seed)
-    doc = {
-        "ok": report.ok,
-        "draws": report.draws,
-        "seed": report.seed,
-        "cases": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "closed_form": c.closed_form,
-                "sample": c.sample,
-                "std_error": c.std_error,
-                "z": c.z,
-                "ok": c.ok,
-            }
-            for c in report.cases
-        ],
-    }
+    doc = asdict(report)
     if not report.ok:
         # stderr diagnostic: an infinite z (zero standard error) may show here
         return CommandOutcome(3, f"identity validation failed\n{json.dumps(doc, indent=2)}")

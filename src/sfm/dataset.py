@@ -8,6 +8,7 @@ for the schema and the growth/return pairing convention.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,9 @@ class AnnualRecord:
             raise DataError(f"year {self.year}: equity_return must be positive")
         if not self.riskfree_return > 0:
             raise DataError(f"year {self.year}: riskfree_return must be positive")
+        # NaN and -inf already failed above; +inf is the one non-finite value left.
+        if math.inf in (self.consumption, self.equity_return, self.riskfree_return):
+            raise DataError(f"year {self.year}: consumption and returns must be finite")
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def load_series(path: str | Path) -> MarketSeries:
     """Read and validate the canonical CSV, sorting rows by ascending year.
 
     Raises DataError with the offending line number for malformed rows,
-    non-positive values, and year gaps or duplicates.
+    non-positive or non-finite values, and year gaps or duplicates.
     """
     path = Path(path)
     rows: list[tuple[int, AnnualRecord]] = []

@@ -14,6 +14,16 @@ side of its equation in log form:
     r4 = (Rm - F) - w + d - tau*sigma2_x
     r5 = Rm - X + b + d + (1-tau)*mu_x + (1-tau)^2*sigma2_x/2
 
+For fixed tau every residual is affine in v = (b, w, d):
+
+    r = A(tau) @ v + c(tau),   A(tau) = A0 + k*A1,   c(tau) = c0 + c1*tau + c2*tau^2
+
+with constant matrices A0 and A1 (A1 is nonzero only in the r3 row) and
+coefficient vectors c0, c1, c2 taken from the moments. ``affine_system``
+returns these coefficients, batched over tau; it is the one place the
+equations are written down. The residuals, the Jacobian
+[A | dA/dtau @ v + dc/dtau] and the manifold's 3x3 solves all follow from it.
+
 The combination r2 + r4 - r5 = X - mu_x - sigma2_x/2 holds for every
 parameter vector, so the Jacobian has rank <= 3 everywhere: the system
 cannot pin four unknowns, only a one-parameter family. The two r3 variants
@@ -103,36 +113,67 @@ class Residuals:
         )
 
 
-def _log_means(m: MomentSet, options: ModelOptions) -> tuple[float, float, float]:
-    """(F, Rm, X) for the residual equations; raises if a log is undefined."""
+_POWERS = np.arange(3.0)
+# d/dtau (1, tau, tau^2) = (1, tau, tau^2) @ _D_DTAU
+_D_DTAU = np.array([
+    [0.0, 1.0, 0.0],
+    [0.0, 0.0, 2.0],
+    [0.0, 0.0, 0.0],
+])
+
+
+def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
+    """Coefficients (A, c, dA/dtau, dc/dtau) of r = A(tau) @ (b, w, d) + c(tau).
+
+    ``tau`` is one value or an array of shape (n,); A and dA/dtau then have
+    shape (4, 3) or (n, 4, 3), c and dc/dtau shape (4,) or (n, 4). This is the
+    only place the equations and the eq3/lnEx switches are written down.
+
+    Raises:
+        DomainError: if a log mean is undefined.
+    """
     if min(m.mean_rf, m.mean_re, m.mean_x) <= 0:
         raise DomainError("mean_rf, mean_re, mean_x must be positive (logs undefined)")
     f = math.log(m.mean_rf)
     rm = math.log(m.mean_re)
-    if options.lnex_mode == "arithmetic":
-        x = math.log(m.mean_x)
-    else:
-        x = m.mu_x + 0.5 * m.sigma2_x
-    return f, rm, x
+    mu, s2, h = m.mu_x, m.sigma2_x, 0.5 * m.sigma2_x
+    ln_ex = math.log(m.mean_x) if options.lnex_mode == "arithmetic" else mu + h
+    kappa = m.rho * math.sqrt(m.sigma2_x) * math.sqrt(m.sigma2_r)
+    # r3's constant is F*(1-k) - Rm (printed) or F*(1+k) - Rm (rederived).
+    f_per_k = -f if options.eq3_variant == "printed" else f
+    # [A | c] = table[0] + tau*table[1] + tau^2*table[2]; rows r2..r5,
+    # columns b, w, d, 1. A's tau term is k*A1 with k = tau*kappa.
+    table = np.array([
+        1.0, 1.0, 0.0, f,
+        0.0, 1.0, -1.0, f - rm,
+        0.0, -1.0, 1.0, rm - f,
+        1.0, 0.0, 1.0, rm - ln_ex + mu + h,
+
+        0.0, 0.0, 0.0, -mu,
+        kappa, kappa, kappa, kappa * f_per_k,
+        0.0, 0.0, 0.0, -s2,
+        0.0, 0.0, 0.0, -mu - s2,
+
+        0.0, 0.0, 0.0, h,
+        0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, h,
+    ]).reshape(3, 16)
+    tau = np.asarray(tau, dtype=float)
+    shape = tau.shape + (4, 4)
+    # One (1, 3) row per tau, so every tau takes the same matmul kernel.
+    powers = (tau[..., None] ** _POWERS)[..., None, :]
+    ac = (powers @ table).reshape(shape)
+    d_ac = (powers @ _D_DTAU @ table).reshape(shape)
+    return ac[..., :3], ac[..., 3], d_ac[..., :3], d_ac[..., 3]
 
 
 def residual_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Residuals (r2, r3, r4, r5) at a log-space parameter vector (b, w, d, tau)."""
-    b, w, d, tau = (float(v) for v in log_params)
-    f, rm, x = _log_means(m, options)
-    sx = math.sqrt(m.sigma2_x)
-    sr = math.sqrt(m.sigma2_r)
-    k = tau * m.rho * sx * sr
-
-    r2 = f + b + w - tau * m.mu_x + 0.5 * tau * tau * m.sigma2_x
-    if options.eq3_variant == "printed":
-        r3 = f * (1.0 - k) - rm + b * k - d * (1.0 - k) + w * (1.0 + k)
-    else:
-        r3 = f * (1.0 + k) - rm + b * k - d * (1.0 - k) + w * (1.0 + k)
-    r4 = (rm - f) - w + d - tau * m.sigma2_x
-    r5 = rm - x + b + d + (1.0 - tau) * m.mu_x + 0.5 * (1.0 - tau) ** 2 * m.sigma2_x
-    return np.array([r2, r3, r4, r5])
+    x = np.asarray(log_params, dtype=float)
+    a, c, _, _ = affine_system(m, x[3], options)
+    return a @ x[:3] + c
 
 
 def residual_vector(m: MomentSet, p: ModelParams,
@@ -143,25 +184,10 @@ def residual_vector(m: MomentSet, p: ModelParams,
 
 def jacobian_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau)."""
-    b, w, d, tau = (float(v) for v in log_params)
-    f, _rm, _x = _log_means(m, options)
-    sx = math.sqrt(m.sigma2_x)
-    sr = math.sqrt(m.sigma2_r)
-    kappa = m.rho * sx * sr   # dk/dtau
-    k = tau * kappa
-
-    jac = np.zeros((4, 4))
-    jac[0] = [1.0, 1.0, 0.0, -m.mu_x + tau * m.sigma2_x]
-    # r3 rows share the (b, w, d) coefficients; only dr3/dk differs by 2F.
-    if options.eq3_variant == "printed":
-        dr3_dk = -f + b + d + w
-    else:
-        dr3_dk = f + b + d + w
-    jac[1] = [k, 1.0 + k, -(1.0 - k), kappa * dr3_dk]
-    jac[2] = [0.0, -1.0, 1.0, -m.sigma2_x]
-    jac[3] = [1.0, 0.0, 1.0, -m.mu_x - (1.0 - tau) * m.sigma2_x]
-    return jac
+    """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
+    x = np.asarray(log_params, dtype=float)
+    a, _, da, dc = affine_system(m, x[3], options)
+    return np.concatenate((a, (da @ x[:3] + dc)[:, None]), axis=1)
 
 
 def jacobian(m: MomentSet, p: ModelParams,
@@ -181,26 +207,14 @@ def lognormal_power_cov(a: float, b: float, mu_x: float, sigma_x: float,
     return ex_a * ey_b * math.expm1(a * b * rho * sigma_x * sigma_y)
 
 
-def mrs_return_cov(m: MomentSet, tau: float) -> float:
-    """Covariance of the marginal rate of substitution x^(-tau) with R_e.
-
-    Direct transcription of the closed form; cross-checked elsewhere against
-    lognormal_power_cov(-tau, 1, ...), which it must equal.
-    """
-    sx = math.sqrt(m.sigma2_x)
-    sr = math.sqrt(m.sigma2_r)
-    mrs_mean = math.exp(-tau * m.mu_x + 0.5 * tau * tau * m.sigma2_x)
-    re_mean = math.exp(m.mu_r + 0.5 * m.sigma2_r)
-    return mrs_mean * re_mean * math.expm1(-tau * m.rho * sx * sr)
-
-
 def euler_gap(m: MomentSet, p: ModelParams) -> float:
     """Exact (non-log-linearized) discrepancy of the two-asset Euler relation.
 
     omega*E(R_f) - delta*E(R_e) - omega*delta*beta*E(R_f)*cov(MRS, R_e);
     quantifies how far the log-form equity equation is from the exact one.
     """
-    cov = mrs_return_cov(m, p.tau)
+    cov = lognormal_power_cov(-p.tau, 1.0, m.mu_x, math.sqrt(m.sigma2_x),
+                              m.mu_r, math.sqrt(m.sigma2_r), m.rho)
     return (
         p.omega * m.mean_rf
         - p.delta * m.mean_re

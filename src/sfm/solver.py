@@ -29,6 +29,7 @@ from .model import (
     ModelOptions,
     ModelParams,
     Residuals,
+    affine_system,
     euler_gap,
     jacobian_array,
     residual_array,
@@ -40,6 +41,9 @@ RANK_RTOL = 1e-10
 
 _DAMPING_MAX = 1e14
 _DAMPING_MIN = 1e-14
+
+# Grid values per batched manifold solve; bounds the (n, 4, 3) temporaries.
+MANIFOLD_BLOCK = 256
 
 CANONICAL_INITIAL = ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=2.0)
 
@@ -97,10 +101,7 @@ def _numerical_rank(singular_values: np.ndarray) -> int:
 
 def _try_residuals(m: MomentSet, x: np.ndarray, opts: ModelOptions) -> np.ndarray | None:
     """Residuals at x, or None when the evaluation leaves the finite range."""
-    try:
-        r = residual_array(m, x, opts)
-    except OverflowError:
-        return None
+    r = residual_array(m, x, opts)
     return r if np.all(np.isfinite(r)) else None
 
 
@@ -122,50 +123,52 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     lam = cfg.damping_init
     eye = np.eye(4)
 
-    r = _try_residuals(m, x, opts)
-    if r is None:
-        raise SolverError(
-            "non-finite residuals at initial point", last_params=cfg.initial
-        )
-    norm = float(np.linalg.norm(r))
+    # Trial points may overflow; non-finite residuals are rejected, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _try_residuals(m, x, opts)
+        if r is None:
+            raise SolverError(
+                "non-finite residuals at initial point", last_params=cfg.initial
+            )
+        norm = float(np.linalg.norm(r))
 
-    converged = "max-iter"
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        if norm <= cfg.residual_tolerance:
-            converged = "residual"
-            iterations -= 1
-            break
+        converged = "max-iter"
+        iterations = 0
+        for iterations in range(1, cfg.max_iterations + 1):
+            if norm <= cfg.residual_tolerance:
+                converged = "residual"
+                iterations -= 1
+                break
 
-        jac = jacobian_array(m, x, opts)
-        grad = jac.T @ r
-        jtj = jac.T @ jac
+            jac = jacobian_array(m, x, opts)
+            grad = jac.T @ r
+            jtj = jac.T @ jac
 
-        accepted = False
-        while lam <= _DAMPING_MAX:
-            try:
-                step = np.linalg.solve(jtj + lam * eye, -grad)
-            except np.linalg.LinAlgError:
+            accepted = False
+            while lam <= _DAMPING_MAX:
+                try:
+                    step = np.linalg.solve(jtj + lam * eye, -grad)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                x_new = x + step
+                r_new = _try_residuals(m, x_new, opts)
+                if r_new is not None:
+                    norm_new = float(np.linalg.norm(r_new))
+                    if norm_new <= norm:
+                        accepted = True
+                        break
                 lam *= 10.0
-                continue
-            x_new = x + step
-            r_new = _try_residuals(m, x_new, opts)
-            if r_new is not None:
-                norm_new = float(np.linalg.norm(r_new))
-                if norm_new <= norm:
-                    accepted = True
-                    break
-            lam *= 10.0
 
-        if not accepted:
-            converged = "step"
-            break
+            if not accepted:
+                converged = "step"
+                break
 
-        x, r, norm = x_new, r_new, norm_new
-        lam = max(lam * 0.3, _DAMPING_MIN)
-        if float(np.linalg.norm(step)) <= cfg.step_tolerance * (1.0 + float(np.linalg.norm(x))):
-            converged = "step"
-            break
+            x, r, norm = x_new, r_new, norm_new
+            lam = max(lam * 0.3, _DAMPING_MIN)
+            if float(np.linalg.norm(step)) <= cfg.step_tolerance * (1.0 + float(np.linalg.norm(x))):
+                converged = "step"
+                break
 
     params = ModelParams.from_log(*(float(v) for v in x))
     sv = np.linalg.svd(jacobian_array(m, x, opts), compute_uv=False)
@@ -185,44 +188,41 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
 
     The leftover residual is r5 = -gap by the structural identity. The 3x3
     subsystem has determinant k = tau*rho*sigma_x*sigma_r; k = 0 (tau = 0 or
-    rho = 0) makes it singular.
+    rho = 0) makes it singular. The grid is solved in blocks of
+    MANIFOLD_BLOCK values, one batched solve per block.
 
     Raises:
-        SingularSubsystemError: naming the grid point where k = 0.
+        SingularSubsystemError: naming the first grid point where k = 0.
+        OverflowError: naming the first grid point whose solution or
+            residuals leave the finite range.
     """
-    sx = math.sqrt(m.sigma2_x)
-    sr = math.sqrt(m.sigma2_r)
-    f = math.log(m.mean_rf)
-    rm = math.log(m.mean_re)
-
+    taus = np.fromiter(tau_grid, dtype=float)
     points: list[ManifoldPoint] = []
-    for tau in tau_grid:
-        tau = float(tau)
-        k = tau * m.rho * sx * sr
-        if k == 0.0:
-            raise SingularSubsystemError(
-                f"subsystem in (b, w, d) is singular at tau = {tau} (k = 0)"
+    for start in range(0, len(taus), MANIFOLD_BLOCK):
+        tau = taus[start:start + MANIFOLD_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, c, _, _ = affine_system(m, tau, options)
+            # A's r3 coefficient on b is k, the determinant of rows r2-r4.
+            singular = np.flatnonzero(a[:, 1, 0] == 0.0)
+            if singular.size:
+                raise SingularSubsystemError(
+                    f"subsystem in (b, w, d) is singular at tau = {tau[singular[0]]} (k = 0)"
+                )
+            v = np.linalg.solve(a[:, :3], -c[:, :3, None])
+            r = (a @ v)[..., 0] + c
+            factors = np.exp(v[..., 0])
+        finite = np.isfinite(r).all(axis=1) & np.isfinite(factors).all(axis=1)
+        if not finite.all():
+            raise OverflowError(
+                f"manifold point at tau = {tau[np.argmin(finite)]} is not finite"
             )
-        coef = np.array([
-            [1.0, 1.0, 0.0],
-            [k, 1.0 + k, -(1.0 - k)],
-            [0.0, -1.0, 1.0],
-        ])
-        rhs = np.array([
-            tau * m.mu_x - 0.5 * tau * tau * m.sigma2_x - f,
-            rm - f * (1.0 - k) if options.eq3_variant == "printed" else rm - f * (1.0 + k),
-            tau * m.sigma2_x - (rm - f),
-        ])
-        b, w, d = np.linalg.solve(coef, rhs)
-        log_point = np.array([b, w, d, tau])
-        residuals = Residuals.from_vector(residual_array(m, log_point, options))
-        points.append(ManifoldPoint(
-            tau=tau,
-            beta=math.exp(b),
-            omega=math.exp(w),
-            delta=math.exp(d),
-            residuals=residuals,
-        ))
+        norms = np.linalg.norm(r, axis=1)
+        for t, (beta, omega, delta), (r2, r3, r4, r5), norm in zip(
+                tau.tolist(), factors.tolist(), r.tolist(), norms.tolist()):
+            points.append(ManifoldPoint(
+                tau=t, beta=beta, omega=omega, delta=delta,
+                residuals=Residuals(r2=r2, r3=r3, r4=r4, r5=r5, norm=norm),
+            ))
     return points
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from sfm import ModelParams, MomentSet
+from sfm import ModelOptions, ModelParams, MomentSet, lognormality_gap
 
 # Reference calibration this toolkit aims to reproduce (published values).
 REF_BETA = 0.9581
@@ -18,6 +20,15 @@ REF_UNCERTAIN_EQUITY = 6.27558270
 REF_UNCERTAIN_RISKFREE = 6.97944955
 
 REF_PARAMS = ModelParams(beta=REF_BETA, omega=REF_OMEGA, delta=REF_DELTA, tau=REF_TAU)
+
+ALL_OPTIONS = [
+    ModelOptions(eq3_variant=v, lnex_mode=m)
+    for v in ("printed", "rederived")
+    for m in ("arithmetic", "lognormal_implied")
+]
+
+# Few, fixed examples: the suite stays fast and deterministic.
+PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
 
 def random_moments(rng: np.random.Generator, lognormal_consistent: bool = False) -> MomentSet:
@@ -90,3 +101,39 @@ def exact_root_moments(p: ModelParams, mu_x: float = 0.018, sigma2_x: float = 0.
         mean_rf=math.exp(f),
         n_obs=89,
     )
+
+
+@st.composite
+def moment_sets(draw, min_abs_rho: float = 0.0) -> MomentSet:
+    """Valid MomentSets over about the ranges of ``random_moments``.
+
+    sigma2_r >= 5e-3 and |rho| >= min_abs_rho bound k away from 0, so the
+    manifold's 3x3 solves stay well conditioned.
+    """
+    sigma2_x = draw(st.floats(1e-4, 0.05))
+    sigma2_r = draw(st.floats(5e-3, 0.2))
+    mu_x = draw(st.floats(-0.05, 0.08))
+    mu_r = draw(st.floats(-0.10, 0.15))
+    rho = draw(st.floats(min_abs_rho, 0.95)) * draw(st.sampled_from((-1.0, 1.0)))
+    return MomentSet(
+        mu_x=mu_x,
+        sigma2_x=sigma2_x,
+        mu_r=mu_r,
+        sigma2_r=sigma2_r,
+        rho=rho,
+        mean_x=math.exp(mu_x + 0.5 * sigma2_x) * draw(st.floats(0.98, 1.02)),
+        mean_re=math.exp(mu_r + 0.5 * sigma2_r) * draw(st.floats(0.98, 1.02)),
+        mean_rf=draw(st.floats(0.95, 1.10)),
+        n_obs=89,
+    )
+
+
+# Log-space points (b, w, d, tau) over the ranges of ``random_params``.
+log_points = st.tuples(
+    st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-3.0, 6.0),
+).map(np.array)
+
+
+def effective_gap(m: MomentSet, options: ModelOptions) -> float:
+    """r2 + r4 - r5 for every parameter point: the gap, or 0 with implied lnEx."""
+    return 0.0 if options.lnex_mode == "lognormal_implied" else lognormality_gap(m)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -9,12 +10,36 @@ from sfm.cli import main, run_command, to_json
 from conftest import DATA_PATH
 
 DATA = str(DATA_PATH)
+CLASSIFY_ARGV = [
+    "classify", "--data", DATA, "--year", "1977",
+    "--beta", "0.9581", "--tau", "1.0319",
+    "--sfom-equity", "1.0013", "--sfom-riskfree", "1.0657",
+]
+
+
+def with_value(argv, flag, value):
+    """argv with the value after ``flag`` replaced."""
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
 
 
 def run_ok(argv):
     outcome = run_command(argv)
     assert outcome.exit_code == 0, outcome.payload
     return outcome.payload
+
+
+def run_main(argv, monkeypatch, capsys):
+    """(exit code, stdout, stderr) of the console entry point; warnings count as stderr."""
+    monkeypatch.setattr(sys, "argv", ["sfm", *argv])
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exit_info:
+        warnings.simplefilter("always")
+        main()
+    out, err = capsys.readouterr()
+    err += "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught
+    )
+    return exit_info.value.code, out, err
 
 
 class TestExitCodes:
@@ -41,9 +66,21 @@ class TestExitCodes:
         assert outcome.exit_code == 2
         assert "line 2" in outcome.payload
 
-    def test_numerical_failure_is_exit_3(self):
-        outcome = run_command(["solve", "--data", DATA, "--tau0", "1e200"])
-        assert outcome.exit_code == 3
+    def test_numerical_failure_is_exit_3(self, monkeypatch, capsys):
+        argv = ["solve", "--data", DATA, "--tau0", "1e200"]
+        assert run_main(argv, monkeypatch, capsys) == (
+            3, "", "non-finite residuals at initial point\n"
+        )
+
+    def test_infinite_csv_value_is_data_error(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "inf.csv"
+        bad.write_text(
+            "year,consumption,equity_return,riskfree_return\n"
+            "1900,100,1.0,1.0\n1901,110,inf,1.0\n1902,121,1.0,1.0\n"
+        )
+        code, out, err = run_main(["moments", "--data", str(bad)], monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{bad}: line 3: year 1901: consumption and returns must be finite\n"
 
     def test_success_is_exit_0(self):
         assert run_command(["moments", "--data", DATA]).exit_code == 0
@@ -54,13 +91,20 @@ class TestExitCodes:
           "--steps", "5"], "--tau-max"),
         (["manifold", "--data", DATA, "--tau-min", "inf", "--tau-max", "2",
           "--steps", "5"], "--tau-min"),
-    ], ids=["seed-negative", "tau-max-nan", "tau-min-inf"])
+        (["solve", "--data", DATA, "--beta0", "nan"], "--beta0"),
+        (["solve", "--data", DATA, "--omega0", "inf"], "--omega0"),
+        (["solve", "--data", DATA, "--delta0", "inf"], "--delta0"),
+        (["solve", "--data", DATA, "--tau0", "nan"], "--tau0"),
+        (with_value(CLASSIFY_ARGV, "--beta", "nan"), "--beta"),
+        (with_value(CLASSIFY_ARGV, "--tau", "inf"), "--tau"),
+        (with_value(CLASSIFY_ARGV, "--sfom-equity", "nan"), "--sfom-equity"),
+        (with_value(CLASSIFY_ARGV, "--sfom-riskfree", "inf"), "--sfom-riskfree"),
+    ], ids=["seed-negative", "tau-max-nan", "tau-min-inf", "beta0-nan", "omega0-inf",
+            "delta0-inf", "tau0-nan", "beta-nan", "tau-inf", "sfom-equity-nan",
+            "sfom-riskfree-inf"])
     def test_bad_value_is_usage_error_on_stderr(self, argv, flag, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["sfm", *argv])
-        with pytest.raises(SystemExit) as exit_info:
-            main()
-        out, err = capsys.readouterr()
-        assert exit_info.value.code == 1
+        code, out, err = run_main(argv, monkeypatch, capsys)
+        assert code == 1
         assert out == ""
         assert flag in err
 
@@ -219,11 +263,7 @@ class TestJsonRoundTrips:
 
 
 class TestClassifyCommand:
-    ARGS = [
-        "classify", "--data", DATA, "--year", "1977",
-        "--beta", "0.9581", "--tau", "1.0319",
-        "--sfom-equity", "1.0013", "--sfom-riskfree", "1.0657",
-    ]
+    ARGS = CLASSIFY_ARGV
 
     def test_table_labels(self):
         table = run_ok(self.ARGS + ["--format", "table"])

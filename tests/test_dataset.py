@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestLoadSeries:
             "1902,121,1.0,1.0",
         ])
         with pytest.raises(DataError, match="line 3"):
+            load_series(path)
+
+    @pytest.mark.parametrize("row", ["1901,110,inf,1.0", "1901,inf,1.0,1.0", "1901,110,1.0,inf"])
+    def test_infinite_value_cites_line(self, tmp_path, row):
+        path = write_csv(tmp_path / "bad.csv", [
+            "1900,100,1.0,1.0",
+            row,
+            "1902,121,1.0,1.0",
+        ])
+        with pytest.raises(DataError, match="line 3: year 1901: .* must be finite"):
             load_series(path)
 
     def test_malformed_value_cites_line(self, tmp_path):
@@ -112,6 +124,12 @@ class TestRecordValidation:
             AnnualRecord(1900, 1.0, 0.0, 1.0)
         with pytest.raises(DataError):
             AnnualRecord(1900, 1.0, 1.0, -0.2)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, value):
+        for fields in ((value, 1.0, 1.0), (1.0, value, 1.0), (1.0, 1.0, value)):
+            with pytest.raises(DataError):
+                AnnualRecord(1900, *fields)
 
 
 class TestGrowthSeries:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sfm import (
     ModelOptions,
@@ -11,19 +13,21 @@ from sfm import (
     jacobian,
     lognormal_power_cov,
     lognormality_gap,
-    mrs_return_cov,
     residual_vector,
 )
 from sfm.errors import DomainError
 from sfm.model import jacobian_array, residual_array
 
-from helpers import REF_PARAMS, random_moments, random_params
-
-ALL_OPTIONS = [
-    ModelOptions(eq3_variant=v, lnex_mode=m)
-    for v in ("printed", "rederived")
-    for m in ("arithmetic", "lognormal_implied")
-]
+from helpers import (
+    ALL_OPTIONS,
+    PROPERTY_SETTINGS,
+    REF_PARAMS,
+    effective_gap,
+    log_points,
+    moment_sets,
+    random_moments,
+    random_params,
+)
 
 
 def transcribed_residuals(m: MomentSet, p: ModelParams, options: ModelOptions):
@@ -180,6 +184,20 @@ class TestJacobian:
         assert jac[3, 3] == pytest.approx(-m.mu_x - (1 - p.tau) * m.sigma2_x, rel=1e-14)
 
 
+class TestAffineCoreProperties:
+    @PROPERTY_SETTINGS
+    @given(m=moment_sets(), x=log_points, options=st.sampled_from(ALL_OPTIONS))
+    def test_structural_identity_is_effective_gap(self, m, x, options):
+        r = residual_array(m, x, options)
+        assert r[0] + r[2] - r[3] == pytest.approx(effective_gap(m, options), abs=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(m=moment_sets(), x=log_points, options=st.sampled_from(ALL_OPTIONS))
+    def test_jacobian_rows_combine_to_zero(self, m, x, options):
+        jac = jacobian_array(m, x, options)
+        np.testing.assert_allclose(jac[0] + jac[2] - jac[3], np.zeros(4), rtol=0, atol=1e-14)
+
+
 class TestLognormalPowerCov:
     def test_zero_exponent_is_zero(self):
         assert lognormal_power_cov(0.0, 1.0, 0.02, 0.04, 0.05, 0.15, 0.4) == 0.0
@@ -204,6 +222,13 @@ class TestLognormalPowerCov:
         )
 
 
+def mrs_return_cov(m: MomentSet, tau: float) -> float:
+    """cov(x^-tau, R_e), the marginal rate of substitution against the equity return."""
+    return lognormal_power_cov(
+        -tau, 1.0, m.mu_x, math.sqrt(m.sigma2_x), m.mu_r, math.sqrt(m.sigma2_r), m.rho
+    )
+
+
 class TestMrsReturnCov:
     def test_tau_zero_is_zero(self, bundled_moments):
         assert mrs_return_cov(bundled_moments, 0.0) == 0.0
@@ -214,16 +239,6 @@ class TestMrsReturnCov:
             mean_x=1.02, mean_re=1.07, mean_rf=1.01, n_obs=50,
         )
         assert mrs_return_cov(m, 2.0) == 0.0
-
-    def test_delegation_equality(self, bundled_moments):
-        m = bundled_moments
-        for tau in (-1.0, 0.5, 1.0319, 4.4):
-            direct = mrs_return_cov(m, tau)
-            delegated = lognormal_power_cov(
-                -tau, 1.0, m.mu_x, math.sqrt(m.sigma2_x),
-                m.mu_r, math.sqrt(m.sigma2_r), m.rho,
-            )
-            assert direct == pytest.approx(delegated, rel=1e-14)
 
     def test_bundled_frozen_value(self, bundled_moments):
         assert mrs_return_cov(bundled_moments, 1.0319) == pytest.approx(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sfm import (
     CANONICAL_INITIAL,
@@ -18,7 +20,18 @@ from sfm import (
     trace_manifold,
 )
 
-from helpers import REF_PARAMS, exact_root_moments, random_moments, random_params
+from sfm.solver import MANIFOLD_BLOCK
+
+from helpers import (
+    ALL_OPTIONS,
+    PROPERTY_SETTINGS,
+    REF_PARAMS,
+    effective_gap,
+    exact_root_moments,
+    moment_sets,
+    random_moments,
+    random_params,
+)
 
 
 class TestSolve:
@@ -132,6 +145,41 @@ class TestTraceManifold:
             assert abs(pt.residuals.r3) <= 1e-10
             assert abs(pt.residuals.r4) <= 1e-10
             assert pt.residuals.r5 == pytest.approx(-gap, abs=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(
+        m=moment_sets(min_abs_rho=0.1),
+        taus=st.lists(st.floats(0.2, 6.0), min_size=1, max_size=8),
+        options=st.sampled_from(ALL_OPTIONS),
+    )
+    def test_zeroes_first_three_leaves_effective_gap(self, m, taus, options):
+        gap = effective_gap(m, options)
+        for pt in trace_manifold(m, taus, options):
+            r = pt.residuals
+            assert max(abs(r.r2), abs(r.r3), abs(r.r4)) <= 1e-10
+            assert r.r5 == pytest.approx(-gap, abs=1e-10)
+
+    def test_blocks_couple_nothing(self, bundled_moments):
+        grid = np.linspace(0.3, 6.0, 2 * MANIFOLD_BLOCK + 37)
+        one_by_one = [trace_manifold(bundled_moments, [tau])[0] for tau in grid]
+        assert trace_manifold(bundled_moments, grid) == one_by_one
+
+    def test_singular_point_in_later_block_is_named(self, bundled_moments):
+        grid = np.linspace(-3.0, -1.0, 2 * MANIFOLD_BLOCK + 5)
+        grid[MANIFOLD_BLOCK + 7] = 0.0
+        with pytest.raises(SingularSubsystemError, match=r"tau = 0\.0 "):
+            trace_manifold(bundled_moments, grid)
+
+    def test_overflowing_point_is_named(self, bundled_moments):
+        with pytest.raises(OverflowError, match=r"tau = 1e\+200 "):
+            trace_manifold(bundled_moments, [1.0, 1e200, 2.0])
+
+    def test_empty_grid_and_generator(self, bundled_moments):
+        assert trace_manifold(bundled_moments, []) == []
+        taus = [0.5, 1.5, 2.5]
+        assert trace_manifold(bundled_moments, (t for t in taus)) == trace_manifold(
+            bundled_moments, taus
+        )
 
     def test_parameters_vary_continuously(self, bundled_moments):
         points = trace_manifold(bundled_moments, np.linspace(0.5, 5.0, 451))
