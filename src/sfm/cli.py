@@ -19,6 +19,7 @@ import numpy as np
 from .classify import build_reports
 from .dataset import load_series, growth_series
 from .errors import DataError, SolverError
+from .mc import MIN_DRAWS
 from .model import ModelOptions, ModelParams
 from .moments import estimate_moments, lognormality_gap
 from .solver import SolverConfig, solve, trace_manifold
@@ -65,7 +66,12 @@ def _checked(convert, accept, requirement: str):
 
 
 _finite_float = _checked(float, math.isfinite, "must be a finite number")
+_positive_float = _checked(
+    float, lambda value: math.isfinite(value) and value > 0, "must be a finite number > 0"
+)
 _non_negative_int = _checked(int, lambda value: value >= 0, "must be an integer >= 0")
+_positive_int = _checked(int, lambda value: value >= 1, "must be an integer >= 1")
+_draw_count = _checked(int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}")
 
 
 def _build_parser() -> _Parser:
@@ -87,9 +93,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("solve", help="damped least-squares solve of the system")
     add_data(p)
     add_switches(p)
-    p.add_argument("--beta0", type=_finite_float, default=0.99)
-    p.add_argument("--omega0", type=_finite_float, default=1.0)
-    p.add_argument("--delta0", type=_finite_float, default=1.0)
+    p.add_argument("--beta0", type=_positive_float, default=0.99)
+    p.add_argument("--omega0", type=_positive_float, default=1.0)
+    p.add_argument("--delta0", type=_positive_float, default=1.0)
     p.add_argument("--tau0", type=_finite_float, default=2.0)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -98,11 +104,11 @@ def _build_parser() -> _Parser:
     add_switches(p)
     p.add_argument("--tau-min", type=_finite_float, required=True)
     p.add_argument("--tau-max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("validate", help="Monte Carlo check of lognormal identities")
-    p.add_argument("--draws", type=int, default=1_000_000)
+    p.add_argument("--draws", type=_draw_count, default=1_000_000)
     p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--format", choices=("json",), default="json")
 
@@ -111,8 +117,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--tau", type=_finite_float, required=True)
-    p.add_argument("--sfom-equity", type=_finite_float, required=True)
-    p.add_argument("--sfom-riskfree", type=_finite_float, required=True)
+    p.add_argument("--sfom-equity", type=_positive_float, required=True)
+    p.add_argument("--sfom-riskfree", type=_positive_float, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     return parser
@@ -192,8 +198,6 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_manifold(args) -> str:
-    if args.steps < 1:
-        raise _UsageError("sfm manifold: --steps must be >= 1")
     m = _load_moments(args, args.variance)
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
     points = trace_manifold(m, grid, _options(args))

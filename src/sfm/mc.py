@@ -27,6 +27,9 @@ _BLOCK = 1 << 14  # draws per block; a block's arrays stay in cache
 # per-case false-alarm rate is about 6e-5, low enough for a stable suite.
 Z_MAX = 4.0
 
+# Fewest draws the battery accepts.
+MIN_DRAWS = 10_000
+
 # Log-space moments of the bundled 1889-1978 series (sample convention),
 # frozen here so the validation battery needs no file access.
 BUNDLED_MU_X = 0.01751333350822086
@@ -270,8 +273,8 @@ def validate_identities(draws: int, seed: int = 42) -> ValidationReport:
     Each case checks the closed-form power covariance against the sample one
     and both marginal means against their lognormal values.
     """
-    if draws < 10_000:
-        raise ValueError("need at least 1e4 draws")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws")
 
     checks: list[IdentityCheck] = []
     for name, spec, a, b, summary in _battery_summaries(draws, seed):

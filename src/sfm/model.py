@@ -19,10 +19,13 @@ For fixed tau every residual is affine in v = (b, w, d):
     r = A(tau) @ v + c(tau),   A(tau) = A0 + k*A1,   c(tau) = c0 + c1*tau + c2*tau^2
 
 with constant matrices A0 and A1 (A1 is nonzero only in the r3 row) and
-coefficient vectors c0, c1, c2 taken from the moments. ``affine_system``
-returns these coefficients, batched over tau; it is the one place the
-equations are written down. The residuals, the Jacobian
-[A | dA/dtau @ v + dc/dtau] and the manifold's 3x3 solves all follow from it.
+coefficient vectors c0, c1, c2 taken from the moments. They are written
+down once, as one coefficient table that is built once per (moments,
+options) and cached. ``affine_system`` returns these coefficients, batched
+over tau. The residuals, the Jacobian [A | dA/dtau @ v + dc/dtau] and the
+manifold's 3x3 solves all follow from the table; ``residual_array`` and
+``jacobian_array`` evaluate it at one tau with the same products as
+``affine_system``, so both paths agree bit for bit.
 
 The combination r2 + r4 - r5 = X - mu_x - sigma2_x/2 holds for every
 parameter vector, so the Jacobian has rank <= 3 everywhere: the system
@@ -34,6 +37,7 @@ printed form is the default.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,15 +126,13 @@ _D_DTAU = np.array([
 ])
 
 
-def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
-    """Coefficients (A, c, dA/dtau, dc/dtau) of r = A(tau) @ (b, w, d) + c(tau).
+@functools.lru_cache(maxsize=64)
+def _tables(m: MomentSet, options: ModelOptions) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only coefficient table of the system and its tau-derivative.
 
-    ``tau`` is one value or an array of shape (n,); A and dA/dtau then have
-    shape (4, 3) or (n, 4, 3), c and dc/dtau shape (4,) or (n, 4). This is the
-    only place the equations and the eq3/lnEx switches are written down.
-
-    Raises:
-        DomainError: if a log mean is undefined.
+    [A | c] = table[0] + tau*table[1] + tau^2*table[2]; rows r2..r5, columns
+    b, w, d, 1. The derivative table is _D_DTAU @ table. Built once per
+    (moments, options): a solve evaluates the system dozens of times.
     """
     if min(m.mean_rf, m.mean_re, m.mean_x) <= 0:
         raise DomainError("mean_rf, mean_re, mean_x must be positive (logs undefined)")
@@ -141,8 +143,7 @@ def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
     kappa = m.rho * math.sqrt(m.sigma2_x) * math.sqrt(m.sigma2_r)
     # r3's constant is F*(1-k) - Rm (printed) or F*(1+k) - Rm (rederived).
     f_per_k = -f if options.eq3_variant == "printed" else f
-    # [A | c] = table[0] + tau*table[1] + tau^2*table[2]; rows r2..r5,
-    # columns b, w, d, 1. A's tau term is k*A1 with k = tau*kappa.
+    # A's tau term is k*A1 with k = tau*kappa.
     table = np.array([
         1.0, 1.0, 0.0, f,
         0.0, 1.0, -1.0, f - rm,
@@ -159,12 +160,29 @@ def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
         0.0, 0.0, 0.0, 0.0,
         0.0, 0.0, 0.0, h,
     ]).reshape(3, 16)
+    d_table = _D_DTAU @ table
+    table.flags.writeable = False
+    d_table.flags.writeable = False
+    return table, d_table
+
+
+def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
+    """Coefficients (A, c, dA/dtau, dc/dtau) of r = A(tau) @ (b, w, d) + c(tau).
+
+    ``tau`` is one value or an array of shape (n,); A and dA/dtau then have
+    shape (4, 3) or (n, 4, 3), c and dc/dtau shape (4,) or (n, 4). The
+    equations and the eq3/lnEx switches are written down only in its table.
+
+    Raises:
+        DomainError: if a log mean is undefined.
+    """
+    table, d_table = _tables(m, options)
     tau = np.asarray(tau, dtype=float)
     shape = tau.shape + (4, 4)
     # One (1, 3) row per tau, so every tau takes the same matmul kernel.
     powers = (tau[..., None] ** _POWERS)[..., None, :]
     ac = (powers @ table).reshape(shape)
-    d_ac = (powers @ _D_DTAU @ table).reshape(shape)
+    d_ac = (powers @ d_table).reshape(shape)
     return ac[..., :3], ac[..., 3], d_ac[..., :3], d_ac[..., 3]
 
 
@@ -172,8 +190,10 @@ def residual_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Residuals (r2, r3, r4, r5) at a log-space parameter vector (b, w, d, tau)."""
     x = np.asarray(log_params, dtype=float)
-    a, c, _, _ = affine_system(m, x[3], options)
-    return a @ x[:3] + c
+    table, _ = _tables(m, options)
+    # affine_system's products at one tau, without its batching.
+    ac = (x[3] ** _POWERS @ table).reshape(4, 4)
+    return ac[:, :3] @ x[:3] + ac[:, 3]
 
 
 def residual_vector(m: MomentSet, p: ModelParams,
@@ -186,8 +206,12 @@ def jacobian_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
     x = np.asarray(log_params, dtype=float)
-    a, _, da, dc = affine_system(m, x[3], options)
-    return np.concatenate((a, (da @ x[:3] + dc)[:, None]), axis=1)
+    table, d_table = _tables(m, options)
+    powers = x[3] ** _POWERS
+    jac = (powers @ table).reshape(4, 4)
+    d_ac = (powers @ d_table).reshape(4, 4)
+    jac[:, 3] = d_ac[:, :3] @ x[:3] + d_ac[:, 3]     # overwrites c with dr/dtau
+    return jac
 
 
 def jacobian(m: MomentSet, p: ModelParams,

@@ -99,12 +99,6 @@ def _numerical_rank(singular_values: np.ndarray) -> int:
     return int(np.sum(singular_values > RANK_RTOL * largest))
 
 
-def _try_residuals(m: MomentSet, x: np.ndarray, opts: ModelOptions) -> np.ndarray | None:
-    """Residuals at x, or None when the evaluation leaves the finite range."""
-    r = residual_array(m, x, opts)
-    return r if np.all(np.isfinite(r)) else None
-
-
 def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     """Minimize the residual norm by Levenberg-damped least squares.
 
@@ -121,16 +115,16 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     opts = cfg.options
     x = cfg.initial.log_vector()
     lam = cfg.damping_init
-    eye = np.eye(4)
 
-    # Trial points may overflow; non-finite residuals are rejected, not warned about.
+    # Trial points may overflow. A non-finite trial has a nan or inf norm and
+    # fails the acceptance test; it is rejected, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = _try_residuals(m, x, opts)
-        if r is None:
+        r = residual_array(m, x, opts)
+        if not np.all(np.isfinite(r)):
             raise SolverError(
                 "non-finite residuals at initial point", last_params=cfg.initial
             )
-        norm = float(np.linalg.norm(r))
+        norm = math.sqrt(r @ r)
 
         converged = "max-iter"
         iterations = 0
@@ -141,23 +135,25 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 break
 
             jac = jacobian_array(m, x, opts)
-            grad = jac.T @ r
-            jtj = jac.T @ jac
+            neg_grad = -(jac.T @ r)
+            damped = jac.T @ jac
+            diagonal = damped.ravel()[::5]      # a writable view of the diagonal
+            jtj_diagonal = diagonal.copy()
 
             accepted = False
             while lam <= _DAMPING_MAX:
+                np.add(jtj_diagonal, lam, out=diagonal)
                 try:
-                    step = np.linalg.solve(jtj + lam * eye, -grad)
+                    step = np.linalg.solve(damped, neg_grad)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                r_new = _try_residuals(m, x_new, opts)
-                if r_new is not None:
-                    norm_new = float(np.linalg.norm(r_new))
-                    if norm_new <= norm:
-                        accepted = True
-                        break
+                r_new = residual_array(m, x_new, opts)
+                norm_new = math.sqrt(r_new @ r_new)
+                if norm_new <= norm:
+                    accepted = True
+                    break
                 lam *= 10.0
 
             if not accepted:
@@ -166,7 +162,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
 
             x, r, norm = x_new, r_new, norm_new
             lam = max(lam * 0.3, _DAMPING_MIN)
-            if float(np.linalg.norm(step)) <= cfg.step_tolerance * (1.0 + float(np.linalg.norm(x))):
+            if math.sqrt(step @ step) <= cfg.step_tolerance * (1.0 + math.sqrt(x @ x)):
                 converged = "step"
                 break
 

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfm.cli import main, run_command, to_json
 
 from conftest import DATA_PATH
+from helpers import PROPERTY_SETTINGS
 
 DATA = str(DATA_PATH)
 CLASSIFY_ARGV = [
@@ -99,9 +106,23 @@ class TestExitCodes:
         (with_value(CLASSIFY_ARGV, "--tau", "inf"), "--tau"),
         (with_value(CLASSIFY_ARGV, "--sfom-equity", "nan"), "--sfom-equity"),
         (with_value(CLASSIFY_ARGV, "--sfom-riskfree", "inf"), "--sfom-riskfree"),
+        (["validate", "--draws", "0"], "--draws"),
+        (["validate", "--draws", "-5"], "--draws"),
+        (["validate", "--draws", "1"], "--draws"),
+        (["validate", "--draws", "9999"], "--draws"),
+        (["solve", "--data", DATA, "--beta0", "0"], "--beta0"),
+        (["solve", "--data", DATA, "--beta0", "-1"], "--beta0"),
+        (["solve", "--data", DATA, "--omega0", "0"], "--omega0"),
+        (["solve", "--data", DATA, "--delta0", "-1"], "--delta0"),
+        (with_value(CLASSIFY_ARGV, "--sfom-equity", "0"), "--sfom-equity"),
+        (with_value(CLASSIFY_ARGV, "--sfom-riskfree", "-1"), "--sfom-riskfree"),
+        (["manifold", "--data", DATA, "--tau-min", "0.5", "--tau-max", "2",
+          "--steps", "0"], "--steps"),
     ], ids=["seed-negative", "tau-max-nan", "tau-min-inf", "beta0-nan", "omega0-inf",
             "delta0-inf", "tau0-nan", "beta-nan", "tau-inf", "sfom-equity-nan",
-            "sfom-riskfree-inf"])
+            "sfom-riskfree-inf", "draws-zero", "draws-negative", "draws-one", "draws-9999",
+            "beta0-zero", "beta0-negative", "omega0-zero", "delta0-negative",
+            "sfom-equity-zero", "sfom-riskfree-negative", "steps-zero"])
     def test_bad_value_is_usage_error_on_stderr(self, argv, flag, monkeypatch, capsys):
         code, out, err = run_main(argv, monkeypatch, capsys)
         assert code == 1
@@ -222,10 +243,6 @@ class TestValidateCommand:
         assert doc["draws"] == 20000
         assert all(c["z"] <= 4.0 for c in doc["cases"])
 
-    def test_too_few_draws_is_numerical_failure(self):
-        outcome = run_command(["validate", "--draws", "100"])
-        assert outcome.exit_code == 3
-
     def test_failed_battery_is_nonzero_exit(self, monkeypatch):
         import sfm.mc as mc
         from sfm.mc import IdentityCheck, ValidationReport
@@ -317,3 +334,73 @@ class TestStreamContract:
         b = self.run_process(["solve", "--data", DATA, "--format", "json"])
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+GOLDEN_SOLVE = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
+
+
+class TestSolveGolden:
+    @pytest.mark.parametrize("setting", sorted(GOLDEN_SOLVE))
+    def test_json_bytes_match_golden(self, setting):
+        eq3, lnex = setting.split("/")
+        payload = run_ok(["solve", "--data", DATA, "--eq3", eq3, "--lnex", lnex,
+                          "--format", "json"])
+        assert payload == to_json(GOLDEN_SOLVE[setting])
+
+
+MISSING = str(Path(DATA).with_name("missing.csv"))
+# Bad values every flag is tried with: zero, negative, non-finite, huge,
+# not a number, a path that does not exist.
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e308", "abc", MISSING)
+# Each subcommand's flags with a valid value; sizes are small to keep runs fast.
+FUZZ_COMMANDS = {
+    "moments": {"--data": DATA, "--variance": "population"},
+    "solve": {"--data": DATA, "--beta0": "0.95", "--omega0": "1.1", "--delta0": "0.9",
+              "--tau0": "2", "--eq3": "rederived", "--format": "json"},
+    "manifold": {"--data": DATA, "--tau-min": "0.5", "--tau-max": "5", "--steps": "7",
+                 "--lnex": "lognormal"},
+    "validate": {"--draws": "10000", "--seed": "7"},
+    "classify": {flag: value for flag, value in zip(CLASSIFY_ARGV[1::2], CLASSIFY_ARGV[2::2])}
+    | {"--format": "json"},
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand with up to two of its flags set to one of FUZZ_VALUES."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    flags = FUZZ_COMMANDS[command]
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, valid in flags.items():
+        argv += [flag, draw(st.sampled_from(FUZZ_VALUES)) if flag in bad else valid]
+    return argv
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestExitCodeContract:
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(argv=fuzzed_argv())
+    def test_fuzzed_argv_keeps_the_contract(self, argv):
+        # main calls run_command, so an exception from either fails the test.
+        # Output is captured here: pytest fixtures are not reset between examples.
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "argv", ["sfm", *argv]), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(SystemExit) as exit_info:
+            warnings.simplefilter("always")
+            main()
+        assert [str(w.message) for w in caught] == []
+        code = exit_info.value.code
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            strict_json(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().strip() != ""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from sfm import (
     residual_vector,
 )
 from sfm.errors import DomainError
-from sfm.model import jacobian_array, residual_array
+from sfm.model import _tables, affine_system, jacobian_array, residual_array
 
 from helpers import (
     ALL_OPTIONS,
@@ -196,6 +197,39 @@ class TestAffineCoreProperties:
     def test_jacobian_rows_combine_to_zero(self, m, x, options):
         jac = jacobian_array(m, x, options)
         np.testing.assert_allclose(jac[0] + jac[2] - jac[3], np.zeros(4), rtol=0, atol=1e-14)
+
+
+class TestCoefficientTables:
+    @PROPERTY_SETTINGS
+    @given(m=moment_sets(), x=log_points, options=st.sampled_from(ALL_OPTIONS))
+    def test_scalar_evaluation_equals_affine_system_bitwise(self, m, x, options):
+        a, c, da, dc = affine_system(m, x[3], options)
+        assert residual_array(m, x, options).tobytes() == (a @ x[:3] + c).tobytes()
+        expected = np.column_stack((a, da @ x[:3] + dc))
+        assert jacobian_array(m, x, options).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("options", ALL_OPTIONS)
+    def test_cache_hit_equals_fresh_build_bitwise(self, bundled_moments, options):
+        cached = _tables(bundled_moments, options)
+        # An equal MomentSet built separately hits the same entry.
+        assert _tables(dataclasses.replace(bundled_moments), options) is cached
+        fresh = _tables.__wrapped__(bundled_moments, options)
+        for hit, built in zip(cached, fresh):
+            assert hit.tobytes() == built.tobytes()
+
+    def test_cached_tables_are_read_only(self, bundled_moments):
+        for table in _tables(bundled_moments, ModelOptions()):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self, bundled_moments):
+        x = REF_PARAMS.log_vector()
+        for evaluate in (residual_array, jacobian_array):
+            first = evaluate(bundled_moments, x)
+            expected = first.copy()
+            first[...] = 99.0
+            assert evaluate(bundled_moments, x).tobytes() == expected.tobytes()
 
 
 class TestLognormalPowerCov:
