@@ -9,7 +9,7 @@ from .classify import (
     return_scenarios,
     uncertain_utility,
 )
-from .dataset import AnnualRecord, GrowthSeries, MarketSeries, growth_series, load_series
+from .dataset import GrowthSeries, MarketSeries, growth_series, load_series
 from .errors import (
     DataError,
     DegenerateSeriesError,
@@ -43,7 +43,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnualRecord",
     "BivariateLogNormalSpec",
     "CANONICAL_INITIAL",
     "DataError",

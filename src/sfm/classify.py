@@ -103,6 +103,9 @@ def build_reports(series: MarketSeries, year: int, beta: float, tau: float,
 
     Uncertain utility uses the asset-specific return scenarios, which is the
     only generator that distinguishes the two investor types.
+
+    Raises:
+        DomainError: naming the investor whose utilities are not finite.
     """
     c_now = series.consumption_of(year)
     growth = growth_series(series)
@@ -114,6 +117,11 @@ def build_reports(series: MarketSeries, year: int, beta: float, tau: float,
         (INVESTOR_RISKFREE, sfom_riskfree),
     ):
         uncertain = uncertain_utility(c_now, return_scenarios(growth, investor), beta, tau)
+        if not (math.isfinite(certain) and math.isfinite(uncertain)):
+            raise DomainError(
+                f"{investor} investor: utilities are not finite "
+                f"(certain {certain}, uncertain {uncertain})"
+            )
         reports.append(InvestorReport(
             investor=investor,
             stdf=beta,

@@ -28,6 +28,9 @@ _PARAM_FMT = "{:.4f}"     # table precision for parameters, as published
 _UTILITY_FMT = "{:.8f}"   # table precision for utilities, as published
 _RESID_FMT = "{:.6e}"
 
+# Largest --steps: 1e5 manifold points take about 350 MB of memory.
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class CommandOutcome:
@@ -70,7 +73,9 @@ _positive_float = _checked(
     float, lambda value: math.isfinite(value) and value > 0, "must be a finite number > 0"
 )
 _non_negative_int = _checked(int, lambda value: value >= 0, "must be an integer >= 0")
-_positive_int = _checked(int, lambda value: value >= 1, "must be an integer >= 1")
+_step_count = _checked(
+    int, lambda value: 1 <= value <= MAX_STEPS, f"must be an integer in [1, {MAX_STEPS}]"
+)
 _draw_count = _checked(int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}")
 
 
@@ -104,7 +109,7 @@ def _build_parser() -> _Parser:
     add_switches(p)
     p.add_argument("--tau-min", type=_finite_float, required=True)
     p.add_argument("--tau-max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=_positive_int, required=True)
+    p.add_argument("--steps", type=_step_count, required=True)
     p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("validate", help="Monte Carlo check of lognormal identities")
@@ -244,22 +249,8 @@ def _cmd_classify(args) -> str:
         series, args.year, args.beta, args.tau, args.sfom_equity, args.sfom_riskfree
     )
     if args.format == "json":
-        doc = {
-            "year": args.year,
-            "reports": [
-                {
-                    "investor": rep.investor,
-                    "stdf": rep.stdf,
-                    "sfom": rep.sfom,
-                    "crra": rep.crra,
-                    "certain_utility": rep.certain_utility,
-                    "uncertain_utility": rep.uncertain_utility,
-                    "label": rep.label,
-                }
-                for rep in reports
-            ],
-        }
-        return to_json(doc)
+        rows = [{k: v for k, v in asdict(rep).items() if k != "year"} for rep in reports]
+        return to_json({"year": args.year, "reports": rows})
     return _classify_table(reports)
 
 

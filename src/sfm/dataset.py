@@ -20,52 +20,33 @@ CSV_HEADER = ("year", "consumption", "equity_return", "riskfree_return")
 
 
 @dataclass(frozen=True)
-class AnnualRecord:
-    """One year of the series: consumption level and gross real returns."""
-
-    year: int
-    consumption: float
-    equity_return: float
-    riskfree_return: float
-
-    def __post_init__(self):
-        if not self.consumption > 0:
-            raise DataError(f"year {self.year}: consumption must be positive")
-        if not self.equity_return > 0:
-            raise DataError(f"year {self.year}: equity_return must be positive")
-        if not self.riskfree_return > 0:
-            raise DataError(f"year {self.year}: riskfree_return must be positive")
-        # NaN and -inf already failed above; +inf is the one non-finite value left.
-        if math.inf in (self.consumption, self.equity_return, self.riskfree_return):
-            raise DataError(f"year {self.year}: consumption and returns must be finite")
-
-
-@dataclass(frozen=True)
 class MarketSeries:
-    """Ordered annual records; years strictly consecutive, length >= 3."""
+    """The annual table as four columns; years strictly consecutive, length >= 3."""
 
-    records: tuple[AnnualRecord, ...]
+    years: tuple[int, ...]
+    consumption: tuple[float, ...]
+    equity_return: tuple[float, ...]
+    riskfree_return: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.records) < 3:
-            raise DataError(
-                f"series needs at least 3 years, got {len(self.records)}"
-            )
-        years = [r.year for r in self.records]
-        for prev, cur in zip(years, years[1:]):
+        if len(self.years) < 3:
+            raise DataError(f"series needs at least 3 years, got {len(self.years)}")
+        if len({len(column) for column in vars(self).values()}) != 1:
+            raise DataError("every column needs one value per year")
+        for prev, cur in zip(self.years, self.years[1:]):
             if cur == prev:
                 raise DataError(f"duplicate year {cur}")
             if cur != prev + 1:
                 raise DataError(f"year gap between {prev} and {cur}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.years)
 
     def consumption_of(self, year: int) -> float:
-        for r in self.records:
-            if r.year == year:
-                return r.consumption
-        raise DataError(f"year {year} not in series ({self.records[0].year}-{self.records[-1].year})")
+        first, last = self.years[0], self.years[-1]
+        if not first <= year <= last:
+            raise DataError(f"year {year} not in series ({first}-{last})")
+        return self.consumption[year - first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +69,7 @@ def load_series(path: str | Path) -> MarketSeries:
     non-positive or non-finite values, and year gaps or duplicates.
     """
     path = Path(path)
-    rows: list[tuple[int, AnnualRecord]] = []
+    rows: list[tuple[int, float, float, float]] = []
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -106,20 +87,21 @@ def load_series(path: str | Path) -> MarketSeries:
                 raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
             try:
                 year = int(row[0])
-                consumption = float(row[1])
-                equity = float(row[2])
-                riskfree = float(row[3])
+                values = (float(row[1]), float(row[2]), float(row[3]))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                record = AnnualRecord(year, consumption, equity, riskfree)
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            rows.append((lineno, record))
+            for name, value in zip(CSV_HEADER[1:], values):
+                if not value > 0:
+                    raise DataError(f"{path}: line {lineno}: year {year}: {name} must be positive")
+            # NaN and -inf already failed above; +inf is the one non-finite value left.
+            if math.inf in values:
+                raise DataError(
+                    f"{path}: line {lineno}: year {year}: consumption and returns must be finite"
+                )
+            rows.append((year, *values))
 
-    rows.sort(key=lambda item: item[1].year)
     try:
-        return MarketSeries(records=tuple(record for _, record in rows))
+        return MarketSeries(*(zip(*sorted(rows)) if rows else [()] * 4))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -131,10 +113,10 @@ def growth_series(series: MarketSeries) -> GrowthSeries:
     gross returns recorded for year t (realized over the same t-1 -> t
     interval), so a series of n years yields n - 1 observations.
     """
-    recs = series.records
-    years = np.array([r.year for r in recs[1:]], dtype=np.int64)
-    levels = np.array([r.consumption for r in recs], dtype=np.float64)
-    x = levels[1:] / levels[:-1]
-    r_e = np.array([r.equity_return for r in recs[1:]], dtype=np.float64)
-    r_f = np.array([r.riskfree_return for r in recs[1:]], dtype=np.float64)
-    return GrowthSeries(years=years, x=x, r_e=r_e, r_f=r_f)
+    levels = np.array(series.consumption, dtype=np.float64)
+    return GrowthSeries(
+        years=np.array(series.years[1:], dtype=np.int64),
+        x=levels[1:] / levels[:-1],
+        r_e=np.array(series.equity_return[1:], dtype=np.float64),
+        r_f=np.array(series.riskfree_return[1:], dtype=np.float64),
+    )

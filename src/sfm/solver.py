@@ -39,8 +39,11 @@ from .moments import MomentSet, lognormality_gap
 # Numerical rank: singular values <= RANK_RTOL * largest are treated as zero.
 RANK_RTOL = 1e-10
 
+_DAMPING_INIT = 1e-3
 _DAMPING_MAX = 1e14
 _DAMPING_MIN = 1e-14
+# A residual norm at or below this is an exact root and stops the solve.
+_RESIDUAL_TOLERANCE = 1e-12
 
 # Grid values per batched manifold solve; bounds the (n, 4, 3) temporaries.
 MANIFOLD_BLOCK = 256
@@ -53,15 +56,13 @@ class SolverConfig:
     initial: ModelParams = CANONICAL_INITIAL
     max_iterations: int = 500
     step_tolerance: float = 1e-12
-    residual_tolerance: float = 1e-12
-    damping_init: float = 1e-3
     options: ModelOptions = field(default_factory=ModelOptions)
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if min(self.step_tolerance, self.residual_tolerance, self.damping_init) <= 0:
-            raise ValueError("tolerances and damping_init must be positive")
+        if self.step_tolerance <= 0:
+            raise ValueError("step_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     cfg = cfg or SolverConfig()
     opts = cfg.options
     x = cfg.initial.log_vector()
-    lam = cfg.damping_init
+    lam = _DAMPING_INIT
 
     # Trial points may overflow. A non-finite trial has a nan or inf norm and
     # fails the acceptance test; it is rejected, not warned about.
@@ -129,7 +130,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
         converged = "max-iter"
         iterations = 0
         for iterations in range(1, cfg.max_iterations + 1):
-            if norm <= cfg.residual_tolerance:
+            if norm <= _RESIDUAL_TOLERANCE:
                 converged = "residual"
                 iterations -= 1
                 break

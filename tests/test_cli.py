@@ -118,11 +118,13 @@ class TestExitCodes:
         (with_value(CLASSIFY_ARGV, "--sfom-riskfree", "-1"), "--sfom-riskfree"),
         (["manifold", "--data", DATA, "--tau-min", "0.5", "--tau-max", "2",
           "--steps", "0"], "--steps"),
+        (["manifold", "--data", DATA, "--tau-min", "0.5", "--tau-max", "2",
+          "--steps", "100000000000000000"], "--steps"),
     ], ids=["seed-negative", "tau-max-nan", "tau-min-inf", "beta0-nan", "omega0-inf",
             "delta0-inf", "tau0-nan", "beta-nan", "tau-inf", "sfom-equity-nan",
             "sfom-riskfree-inf", "draws-zero", "draws-negative", "draws-one", "draws-9999",
             "beta0-zero", "beta0-negative", "omega0-zero", "delta0-negative",
-            "sfom-equity-zero", "sfom-riskfree-negative", "steps-zero"])
+            "sfom-equity-zero", "sfom-riskfree-negative", "steps-zero", "steps-huge"])
     def test_bad_value_is_usage_error_on_stderr(self, argv, flag, monkeypatch, capsys):
         code, out, err = run_main(argv, monkeypatch, capsys)
         assert code == 1
@@ -292,6 +294,13 @@ class TestClassifyCommand:
         assert lines[1].count("Insufficient risk-loving") == 1
         assert lines[2].count("Insufficient risk-loving") == 1
         assert "7.14871804" in lines[1]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_non_finite_utility_is_numerical_failure(self, fmt, monkeypatch, capsys):
+        argv = with_value(with_value(self.ARGS, "--beta", "1e308"), "--tau", "0")
+        code, out, err = run_main([*argv, "--format", fmt], monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("equity investor: utilities are not finite")
 
     def test_json_agrees_with_table(self):
         doc = json.loads(run_ok(self.ARGS + ["--format", "json"]))

@@ -1,11 +1,15 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sfm import AnnualRecord, DataError, growth_series, load_series
+from sfm import DataError, growth_series, load_series
+from sfm.dataset import CSV_HEADER
 
 from conftest import DATA_PATH
+from helpers import PROPERTY_SETTINGS
 
 
 def write_csv(path, rows, header="year,consumption,equity_return,riskfree_return"):
@@ -26,13 +30,13 @@ class TestLoadSeries:
     def test_bundled_file_has_90_records(self):
         series = load_series(DATA_PATH)
         assert len(series) == 90
-        assert series.records[0].year == 1889
-        assert series.records[-1].year == 1978
+        assert series.years[0] == 1889
+        assert series.years[-1] == 1978
 
     def test_minimal_three_row_file(self, minimal_csv):
         series = load_series(minimal_csv)
         assert len(series) == 3
-        assert [r.consumption for r in series.records] == [100.0, 110.0, 121.0]
+        assert series.consumption == (100.0, 110.0, 121.0)
 
     def test_rows_sorted_by_year(self, tmp_path):
         path = write_csv(tmp_path / "shuffled.csv", [
@@ -41,7 +45,7 @@ class TestLoadSeries:
             "1901,110,1.0,1.0",
         ])
         series = load_series(path)
-        assert [r.year for r in series.records] == [1900, 1901, 1902]
+        assert series.years == (1900, 1901, 1902)
 
     def test_negative_consumption_cites_line(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", [
@@ -60,6 +64,19 @@ class TestLoadSeries:
             "1902,121,1.0,1.0",
         ])
         with pytest.raises(DataError, match="line 3: year 1901: .* must be finite"):
+            load_series(path)
+
+    @pytest.mark.parametrize("value", ["0", "-0.2", "nan", "-inf"])
+    @pytest.mark.parametrize("column", ["consumption", "equity_return", "riskfree_return"])
+    def test_non_positive_value_cites_line(self, tmp_path, column, value):
+        fields = ["1901", "110", "1.0", "1.0"]
+        fields[CSV_HEADER.index(column)] = value
+        path = write_csv(tmp_path / "bad.csv", [
+            "1900,100,1.0,1.0",
+            ",".join(fields),
+            "1902,121,1.0,1.0",
+        ])
+        with pytest.raises(DataError, match=f"line 3: year 1901: {column} must be positive$"):
             load_series(path)
 
     def test_malformed_value_cites_line(self, tmp_path):
@@ -115,21 +132,10 @@ class TestLoadSeries:
     def test_deterministic(self, minimal_csv):
         assert load_series(minimal_csv) == load_series(minimal_csv)
 
-
-class TestRecordValidation:
-    def test_non_positive_fields_rejected(self):
-        with pytest.raises(DataError):
-            AnnualRecord(1900, -1.0, 1.0, 1.0)
-        with pytest.raises(DataError):
-            AnnualRecord(1900, 1.0, 0.0, 1.0)
-        with pytest.raises(DataError):
-            AnnualRecord(1900, 1.0, 1.0, -0.2)
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_fields_rejected(self, value):
-        for fields in ((value, 1.0, 1.0), (1.0, value, 1.0), (1.0, 1.0, value)):
-            with pytest.raises(DataError):
-                AnnualRecord(1900, *fields)
+    def test_short_column_rejected(self, minimal_csv):
+        series = load_series(minimal_csv)
+        with pytest.raises(DataError, match="one value per year"):
+            dataclasses.replace(series, riskfree_return=series.riskfree_return[1:])
 
 
 class TestGrowthSeries:
@@ -162,13 +168,50 @@ class TestGrowthSeries:
         assert growth.years[1] == 1902 and growth.r_e[1] == 1.33 and growth.r_f[1] == 1.03
 
     def test_round_trip_reconstruction(self, bundled_series, bundled_growth):
-        levels = [bundled_series.records[0].consumption]
+        levels = [bundled_series.consumption[0]]
         for x in bundled_growth.x:
             levels.append(levels[-1] * x)
-        original = [r.consumption for r in bundled_series.records]
-        np.testing.assert_allclose(levels, original, rtol=1e-12)
+        np.testing.assert_allclose(levels, bundled_series.consumption, rtol=1e-12)
 
     def test_consumption_of_missing_year(self, bundled_series):
         assert bundled_series.consumption_of(1977) == pytest.approx(3339.999988750085)
         with pytest.raises(DataError, match="1880"):
             bundled_series.consumption_of(1880)
+
+
+@st.composite
+def market_tables(draw):
+    """A valid table as (years, consumption, equity, riskfree) plus a row order."""
+    n = draw(st.integers(3, 40))
+    first = draw(st.integers(1800, 2100))
+    level = st.floats(1e-3, 1e6)
+    gross = st.floats(1e-3, 10.0)
+    columns = (
+        list(range(first, first + n)),
+        draw(st.lists(level, min_size=n, max_size=n)),
+        draw(st.lists(gross, min_size=n, max_size=n)),
+        draw(st.lists(gross, min_size=n, max_size=n)),
+    )
+    return columns, draw(st.permutations(range(n)))
+
+
+class TestColumnsProperty:
+    @PROPERTY_SETTINGS
+    @given(table=market_tables())
+    def test_shuffled_csv_loads_as_sorted_columns(self, tmp_path_factory, table):
+        (years, c, r_e, r_f), order = table
+        path = write_csv(tmp_path_factory.mktemp("table") / "series.csv", [
+            f"{years[i]},{c[i]!r},{r_e[i]!r},{r_f[i]!r}" for i in order
+        ])
+        series = load_series(path)
+        assert (series.years, series.consumption) == (tuple(years), tuple(c))
+        assert (series.equity_return, series.riskfree_return) == (tuple(r_e), tuple(r_f))
+
+        levels = np.array(c)
+        assert growth_series(series).x.tobytes() == (levels[1:] / levels[:-1]).tobytes()
+
+        for year, level in zip(years, c):
+            assert series.consumption_of(year) == level
+        for outside in (years[0] - 1, years[-1] + 1):
+            with pytest.raises(DataError, match=f"year {outside} not in series"):
+                series.consumption_of(outside)

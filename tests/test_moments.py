@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -89,21 +90,19 @@ class TestEstimateMoments:
     def test_scale_invariance(self, bundled_series, bundled_moments):
         # Rescaling all consumption levels leaves every field unchanged;
         # a power-of-two factor keeps the growth ratios bit-exact.
-        from sfm import AnnualRecord, MarketSeries, growth_series
+        from sfm import growth_series
 
-        scaled = MarketSeries(records=tuple(
-            AnnualRecord(r.year, r.consumption * 4.0, r.equity_return, r.riskfree_return)
-            for r in bundled_series.records
-        ))
+        scaled = dataclasses.replace(
+            bundled_series, consumption=tuple(c * 4.0 for c in bundled_series.consumption)
+        )
         assert estimate_moments(growth_series(scaled)) == bundled_moments
 
     def test_scale_invariance_general_factor(self, bundled_series, bundled_moments):
-        from sfm import AnnualRecord, MarketSeries, growth_series
+        from sfm import growth_series
 
-        scaled = MarketSeries(records=tuple(
-            AnnualRecord(r.year, r.consumption * 3.7, r.equity_return, r.riskfree_return)
-            for r in bundled_series.records
-        ))
+        scaled = dataclasses.replace(
+            bundled_series, consumption=tuple(c * 3.7 for c in bundled_series.consumption)
+        )
         m = estimate_moments(growth_series(scaled))
         assert m.mu_x == pytest.approx(bundled_moments.mu_x, abs=1e-12)
         assert m.sigma2_x == pytest.approx(bundled_moments.sigma2_x, rel=1e-10)
