@@ -357,6 +357,20 @@ class TestSolveGolden:
         assert payload == to_json(GOLDEN_SOLVE[setting])
 
 
+GOLDEN_MANIFOLD = json.loads(
+    (Path(__file__).parent / "data" / "manifold_golden.json").read_text()
+)
+
+
+class TestManifoldGolden:
+    @pytest.mark.parametrize("setting", sorted(GOLDEN_MANIFOLD))
+    def test_json_bytes_match_golden(self, setting):
+        variance, eq3, lnex = setting.split("/")
+        payload = run_ok(["manifold", "--data", DATA, "--variance", variance, "--eq3", eq3,
+                          "--lnex", lnex, "--tau-min", "0.5", "--tau-max", "5", "--steps", "21"])
+        assert payload == to_json(GOLDEN_MANIFOLD[setting])
+
+
 MISSING = str(Path(DATA).with_name("missing.csv"))
 # Bad values every flag is tried with: zero, negative, non-finite, huge,
 # not a number, a path that does not exist.
