@@ -30,6 +30,7 @@ from .model import (
 from .moments import MomentSet, estimate_moments, lognormality_gap
 from .solver import (
     CANONICAL_INITIAL,
+    Manifold,
     ManifoldPoint,
     RankReport,
     Solution,
@@ -50,6 +51,7 @@ __all__ = [
     "DomainError",
     "GrowthSeries",
     "InvestorReport",
+    "Manifold",
     "ManifoldPoint",
     "MarketSeries",
     "ModelOptions",

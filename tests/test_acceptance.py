@@ -6,6 +6,7 @@ section "Reproducing the published calibration" for the measured distances
 and the reason the published point cannot satisfy the equation system.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -197,6 +198,35 @@ def test_criterion_5_published_calibration(bundled_growth):
         "calibration', for why the published values cannot satisfy the "
         "equation system on data with realistic volatilities"
     )
+
+
+@pytest.mark.parametrize("eq3,f_sign,needed", [("printed", -1.0, 0.0927), ("rederived", 1.0, 0.0436)])
+def test_criterion_5_needs_k_beyond_any_correlation(bundled_moments, eq3, f_sign, needed):
+    """Why criterion 5 fails, computed: the k that r3 = r4 = 0 needs is out of reach.
+
+    r3 + r4 = k*(b + w + d -/+ F) - tau*sigma2_x (printed/rederived) is affine
+    in k = tau*rho*sigma_x*sigma_r, so at the published point it vanishes at
+    one k; |rho| <= 1 caps |k| at k_max = tau*sigma_x*sigma_r. The model's
+    own residuals at rho = 0 and rho = 1 give that k, and it matches the
+    README's closed form.
+    """
+    m, p = bundled_moments, REF_PARAMS
+    options = ModelOptions(eq3_variant=eq3)
+    k_max = p.tau * math.sqrt(m.sigma2_x * m.sigma2_r)
+
+    def r3_plus_r4(rho):
+        r = residual_vector(dataclasses.replace(m, rho=rho), p, options)
+        return r.r3 + r.r4
+
+    at_zero, at_one = r3_plus_r4(0.0), r3_plus_r4(1.0)
+    k_needed = -at_zero / (at_one - at_zero) * k_max
+    closed_form = p.tau * m.sigma2_x / (p.b + p.w + p.d + f_sign * math.log(m.mean_rf))
+    print(f"[acceptance] criterion 5, {eq3}: r3 = r4 = 0 needs k = {k_needed:.4f}, "
+          f"{k_needed / k_max:.1f} x k_max = {k_max:.4f}")
+    assert k_needed == pytest.approx(closed_form, rel=1e-9)
+    assert k_needed == pytest.approx(needed, abs=5e-5)
+    assert k_max == pytest.approx(0.00573, abs=5e-6)
+    assert k_needed > 7 * k_max
 
 
 def test_criterion_6_monte_carlo_identities():

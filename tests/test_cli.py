@@ -1,16 +1,27 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sfm import (
+    Manifold,
+    ModelOptions,
+    estimate_moments,
+    growth_series,
+    load_series,
+    lognormality_gap,
+    trace_manifold,
+)
 from sfm.cli import main, run_command, to_json
 
 from conftest import DATA_PATH
@@ -222,6 +233,46 @@ class TestManifoldCommand:
             assert abs(pt["residuals"]["r3"]) <= 1e-10
             assert abs(pt["residuals"]["r4"]) <= 1e-10
             assert pt["residuals"]["r5"] == pytest.approx(-doc["gap"], abs=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(
+        tau_min=st.floats(0.05, 8.0),
+        tau_max=st.floats(0.05, 8.0),
+        steps=st.integers(1, 40),
+        switches=st.sampled_from([(v, e, l) for v in ("sample", "population")
+                                  for e in ("printed", "rederived")
+                                  for l in ("arithmetic", "lognormal")]),
+    )
+    def test_json_is_the_document_to_json_renders(self, tau_min, tau_max, steps, switches):
+        variance, eq3, lnex = switches
+        m = estimate_moments(growth_series(load_series(DATA)), variance)
+        options = ModelOptions(
+            eq3_variant=eq3, lnex_mode="arithmetic" if lnex == "arithmetic" else "lognormal_implied"
+        )
+        manifold = trace_manifold(m, np.linspace(tau_min, tau_max, steps), options)
+        reference = to_json({
+            "gap": lognormality_gap(m),
+            "points": [{**vars(pt), "residuals": vars(pt.residuals)} for pt in manifold],
+        })
+        payload = run_ok([
+            "manifold", "--data", DATA, "--variance", variance, "--eq3", eq3, "--lnex", lnex,
+            "--tau-min", repr(tau_min), "--tau-max", repr(tau_max), "--steps", str(steps),
+        ])
+        # Lines, not one string: a failing example then reports its first
+        # differing line instead of a character diff of the whole document.
+        assert payload.splitlines() == reference.splitlines()
+        assert payload == reference
+
+    def test_non_finite_value_is_numerical_failure(self, monkeypatch, capsys):
+        def overflowing(*args):
+            manifold = trace_manifold(*args)
+            return Manifold(manifold.tau, manifold.factors, manifold.residuals, np.array([math.inf]))
+
+        monkeypatch.setattr("sfm.cli.trace_manifold", overflowing)
+        argv = ["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "1", "--steps", "1"]
+        assert run_main(argv, monkeypatch, capsys) == (
+            3, "", "Out of range float values are not JSON compliant\n"
+        )
 
     def test_tau_zero_grid_is_numerical_failure(self):
         outcome = run_command([

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from sfm import (
     CANONICAL_INITIAL,
+    Manifold,
+    ManifoldPoint,
     ModelOptions,
     ModelParams,
+    Residuals,
     SingularSubsystemError,
     SolverConfig,
     SolverError,
@@ -20,7 +23,8 @@ from sfm import (
     trace_manifold,
 )
 
-from sfm.solver import MANIFOLD_BLOCK
+from sfm.model import affine_system
+from sfm.solver import MANIFOLD_BLOCK, _least_squares_point
 
 from helpers import (
     ALL_OPTIONS,
@@ -159,10 +163,30 @@ class TestTraceManifold:
             assert max(abs(r.r2), abs(r.r3), abs(r.r4)) <= 1e-10
             assert r.r5 == pytest.approx(-gap, abs=1e-10)
 
+    @PROPERTY_SETTINGS
+    @given(
+        m=moment_sets(min_abs_rho=0.1),
+        taus=st.lists(st.floats(0.2, 6.0), min_size=1, max_size=8),
+        options=st.sampled_from(ALL_OPTIONS),
+    )
+    def test_rows_differ_from_least_squares_point_by_the_floor(self, m, taus, options):
+        # v*(tau) leaves (r2, r3, r4) = (gap/3, 0, gap/3) and each row zeroes
+        # them, so A3 @ (v* - v_row) = (gap/3, 0, gap/3). Both points are
+        # accurate only up to rounding times the 3x3 condition number.
+        third = effective_gap(m, options) / 3
+        manifold = trace_manifold(m, taus, options)
+        for tau, factors in zip(manifold.tau, manifold.factors):
+            a3 = affine_system(m, tau, options)[0][:3]
+            delta = _least_squares_point(m, tau, options) - np.log(factors)
+            bound = 32 * np.finfo(float).eps * np.linalg.cond(a3)
+            assert np.abs(a3 @ delta - [third, 0.0, third]).max() <= bound
+
     def test_blocks_couple_nothing(self, bundled_moments):
         grid = np.linspace(0.3, 6.0, 2 * MANIFOLD_BLOCK + 37)
-        one_by_one = [trace_manifold(bundled_moments, [tau])[0] for tau in grid]
-        assert trace_manifold(bundled_moments, grid) == one_by_one
+        one_by_one = [trace_manifold(bundled_moments, [tau]) for tau in grid]
+        for whole, singles in zip(columns(trace_manifold(bundled_moments, grid)),
+                                  zip(*map(columns, one_by_one))):
+            assert np.array_equal(whole, np.concatenate(singles))
 
     def test_singular_point_in_later_block_is_named(self, bundled_moments):
         grid = np.linspace(-3.0, -1.0, 2 * MANIFOLD_BLOCK + 5)
@@ -175,11 +199,13 @@ class TestTraceManifold:
             trace_manifold(bundled_moments, [1.0, 1e200, 2.0])
 
     def test_empty_grid_and_generator(self, bundled_moments):
-        assert trace_manifold(bundled_moments, []) == []
+        empty = trace_manifold(bundled_moments, [])
+        assert [column.shape for column in columns(empty)] == [(0,), (0, 3), (0, 4), (0,)]
+        assert list(empty) == []
         taus = [0.5, 1.5, 2.5]
-        assert trace_manifold(bundled_moments, (t for t in taus)) == trace_manifold(
-            bundled_moments, taus
-        )
+        from_generator = trace_manifold(bundled_moments, (t for t in taus))
+        for a, b in zip(columns(from_generator), columns(trace_manifold(bundled_moments, taus))):
+            assert np.array_equal(a, b)
 
     def test_parameters_vary_continuously(self, bundled_moments):
         points = trace_manifold(bundled_moments, np.linspace(0.5, 5.0, 451))
@@ -210,6 +236,63 @@ class TestTraceManifold:
             for p in points
         )
         assert dist == pytest.approx(0.9878023534581885, rel=1e-6)
+
+
+def columns(manifold):
+    return manifold.tau, manifold.factors, manifold.residuals, manifold.norms
+
+
+class TestManifoldSequence:
+    GRID = np.linspace(0.5, 5.0, 7)
+
+    @pytest.fixture
+    def manifold(self, bundled_moments):
+        return trace_manifold(bundled_moments, self.GRID)
+
+    def test_len_and_indexing(self, manifold):
+        assert isinstance(manifold, Manifold)
+        assert len(manifold) == len(self.GRID)
+        assert manifold[-1] == manifold[len(manifold) - 1]
+        assert manifold[-len(manifold)] == manifold[0]
+        assert manifold[np.int64(2)] == manifold[2]
+        for index in (len(manifold), -len(manifold) - 1):
+            with pytest.raises(IndexError):
+                manifold[index]
+        with pytest.raises(TypeError):
+            manifold[1.0]
+
+    def test_slice_is_a_manifold_of_the_rows(self, manifold):
+        part = manifold[1:6:2]
+        assert isinstance(part, Manifold)
+        assert list(part) == list(manifold)[1:6:2]
+        for a, b in zip(columns(part), columns(manifold)):
+            assert np.array_equal(a, b[1:6:2])
+        assert list(manifold[::-1]) == list(reversed(manifold))
+
+    def test_iteration_equals_indexing(self, manifold):
+        assert list(manifold) == [manifold[i] for i in range(len(manifold))]
+
+    def test_points_carry_python_floats_of_the_row(self, manifold):
+        for i, point in enumerate(manifold):
+            assert point.tau == manifold.tau[i]
+            assert [point.beta, point.omega, point.delta] == manifold.factors[i].tolist()
+            r = point.residuals
+            assert [r.r2, r.r3, r.r4, r.r5] == manifold.residuals[i].tolist()
+            assert r.norm == manifold.norms[i]
+            values = [point.tau, point.beta, point.omega, point.delta, *vars(r).values()]
+            assert all(type(v) is float for v in values)
+
+    def test_repr_is_the_list_of_points_repr(self, manifold):
+        points = [
+            ManifoldPoint(
+                tau=float(t), beta=float(b), omega=float(w), delta=float(d),
+                residuals=Residuals(r2=float(r2), r3=float(r3), r4=float(r4), r5=float(r5),
+                                    norm=float(n)),
+            )
+            for t, (b, w, d), (r2, r3, r4, r5), n in zip(*columns(manifold))
+        ]
+        assert repr(manifold) == repr(points)
+        assert repr(manifold[:0]) == "[]"
 
 
 class TestRankDiagnostics:
