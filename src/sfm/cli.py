@@ -28,7 +28,7 @@ _PARAM_FMT = "{:.4f}"     # table precision for parameters, as published
 _UTILITY_FMT = "{:.8f}"   # table precision for utilities, as published
 _RESID_FMT = "{:.6e}"
 
-# Largest --steps: bounds the manifold's memory and time.
+# Largest --steps: 1e5 manifold points take about 350 MB of memory.
 MAX_STEPS = 100_000
 
 
@@ -202,46 +202,18 @@ def _cmd_solve(args) -> str:
     return _solve_table(solution, gap)
 
 
-# One element of the manifold document's "points" array, laid out as to_json
-# lays it out at that depth; json writes a finite float as its repr.
-_POINT_JSON = """\
-    {{
-      "tau": {!r},
-      "beta": {!r},
-      "omega": {!r},
-      "delta": {!r},
-      "residuals": {{
-        "r2": {!r},
-        "r3": {!r},
-        "r4": {!r},
-        "r5": {!r},
-        "norm": {!r}
-      }}
-    }}"""
-
-
-def _manifold_json(gap: float, manifold) -> str:
-    """The manifold document byte for byte as to_json renders it, row by row.
-
-    json's indented encoder runs in Python and holds about 30 string pieces
-    per point until it joins them; formatting each row of the columns into
-    one string needs well under half of its memory and time at MAX_STEPS
-    points. The manifold has at least one point.
-
-    Raises:
-        ValueError: if a value is not finite, as to_json does.
-    """
-    rows = np.column_stack((manifold.tau, manifold.factors, manifold.residuals, manifold.norms))
-    if not (math.isfinite(gap) and np.isfinite(rows).all()):
-        raise ValueError("Out of range float values are not JSON compliant")
-    points = ",\n".join(_POINT_JSON.format(*row) for row in rows.tolist())
-    return f'{{\n  "gap": {gap!r},\n  "points": [\n{points}\n  ]\n}}'
-
-
 def _cmd_manifold(args) -> str:
     m = _load_moments(args, args.variance)
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
-    return _manifold_json(lognormality_gap(m), trace_manifold(m, grid, _options(args)))
+    manifold = trace_manifold(m, grid, _options(args))
+    points = [
+        {"tau": tau, "beta": beta, "omega": omega, "delta": delta,
+         "residuals": {"r2": r2, "r3": r3, "r4": r4, "r5": r5, "norm": norm}}
+        for tau, (beta, omega, delta), (r2, r3, r4, r5), norm in zip(
+            manifold.tau.tolist(), manifold.factors.tolist(),
+            manifold.residuals.tolist(), manifold.norms.tolist())
+    ]
+    return to_json({"gap": lognormality_gap(m), "points": points})
 
 
 def _cmd_validate(args):

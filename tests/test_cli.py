@@ -269,10 +269,10 @@ class TestManifoldCommand:
             return Manifold(manifold.tau, manifold.factors, manifold.residuals, np.array([math.inf]))
 
         monkeypatch.setattr("sfm.cli.trace_manifold", overflowing)
+        with pytest.raises(ValueError) as rejected:
+            to_json(math.inf)
         argv = ["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "1", "--steps", "1"]
-        assert run_main(argv, monkeypatch, capsys) == (
-            3, "", "Out of range float values are not JSON compliant\n"
-        )
+        assert run_main(argv, monkeypatch, capsys) == (3, "", f"{rejected.value}\n")
 
     def test_tau_zero_grid_is_numerical_failure(self):
         outcome = run_command([

@@ -269,8 +269,17 @@ class TestManifoldSequence:
             assert np.array_equal(a, b[1:6:2])
         assert list(manifold[::-1]) == list(reversed(manifold))
 
-    def test_iteration_equals_indexing(self, manifold):
+    def test_iteration_equals_indexing(self, manifold, bundled_moments):
         assert list(manifold) == [manifold[i] for i in range(len(manifold))]
+        # Iteration goes block by block; rows on both sides of a block edge.
+        long = trace_manifold(bundled_moments, np.linspace(0.5, 5.0, 2 * MANIFOLD_BLOCK + 3))
+        assert list(long) == [long[i] for i in range(len(long))]
+
+    def test_columns_are_read_only(self, manifold):
+        for column in (*columns(manifold), *columns(manifold[1:3])):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     def test_points_carry_python_floats_of_the_row(self, manifold):
         for i, point in enumerate(manifold):
