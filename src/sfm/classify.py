@@ -67,9 +67,15 @@ def uncertain_utility(c_now: float, scenarios: Sequence[float] | np.ndarray,
 
 
 def classify_attitude(certain: float, uncertain: float, sfom: float) -> str:
-    """Attitude label from the two utilities and the sufficiency factor."""
-    if sfom <= 0:
-        raise DomainError("sufficiency factor must be positive")
+    """Attitude label from the two utilities and the sufficiency factor.
+
+    Raises:
+        DomainError: if the factor is not a finite number > 0 or a utility is NaN.
+    """
+    if not (math.isfinite(sfom) and sfom > 0):
+        raise DomainError(f"sufficiency factor must be a finite number > 0, got {sfom}")
+    if math.isnan(certain) or math.isnan(uncertain):
+        raise DomainError("utilities must not be NaN")
     if sfom > 1.0:
         family = "risk-loving"
     elif sfom < 1.0:

@@ -27,6 +27,8 @@ from .solver import SolverConfig, solve, trace_manifold
 _PARAM_FMT = "{:.4f}"     # table precision for parameters, as published
 _UTILITY_FMT = "{:.8f}"   # table precision for utilities, as published
 _RESID_FMT = "{:.6e}"
+# The published table's leading columns: the investor and its three parameters.
+_PARAM_HEADER = f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"
 
 # Largest --steps: 1e5 manifold points take about 350 MB of memory.
 MAX_STEPS = 100_000
@@ -156,18 +158,20 @@ def _solution_doc(solution, gap: float) -> dict:
     }
 
 
+def _param_cells(investor: str, stdf: float, sfom: float, crra: float) -> str:
+    """The cells under _PARAM_HEADER."""
+    return f"{investor:<10}  " + "  ".join(
+        f"{_PARAM_FMT.format(value):>8}" for value in (stdf, sfom, crra)
+    )
+
+
 def _solve_table(solution, gap: float) -> str:
     p = solution.params
-    rows = [
-        ("equity", p.beta, p.delta, p.tau),
-        ("risk-free", p.beta, p.omega, p.tau),
+    lines = [
+        _PARAM_HEADER,
+        _param_cells("equity", p.beta, p.delta, p.tau),
+        _param_cells("risk-free", p.beta, p.omega, p.tau),
     ]
-    lines = [f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"]
-    for investor, stdf, sfom, crra in rows:
-        lines.append(
-            f"{investor:<10}  {_PARAM_FMT.format(stdf):>8}  "
-            f"{_PARAM_FMT.format(sfom):>8}  {_PARAM_FMT.format(crra):>8}"
-        )
     r = solution.residuals
     lines.append("")
     lines.append(
@@ -228,17 +232,14 @@ def _cmd_validate(args):
 
 
 def _classify_table(reports) -> str:
-    header = (
-        f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}  "
-        f"{'Certain Utility':>16}  {'Uncertain Utility':>18}  "
+    lines = [
+        f"{_PARAM_HEADER}  {'Certain Utility':>16}  {'Uncertain Utility':>18}  "
         f"{'Type of investor':<26}  {'Year':>5}"
-    )
-    lines = [header]
+    ]
     for rep in reports:
         label = rep.label[0].upper() + rep.label[1:]
         lines.append(
-            f"{rep.investor:<10}  {_PARAM_FMT.format(rep.stdf):>8}  "
-            f"{_PARAM_FMT.format(rep.sfom):>8}  {_PARAM_FMT.format(rep.crra):>8}  "
+            f"{_param_cells(rep.investor, rep.stdf, rep.sfom, rep.crra)}  "
             f"{_UTILITY_FMT.format(rep.certain_utility):>16}  "
             f"{_UTILITY_FMT.format(rep.uncertain_utility):>18}  "
             f"{label:<26}  {rep.year:>5}"

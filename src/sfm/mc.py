@@ -13,7 +13,7 @@ standard errors follow from those sums in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -230,12 +230,6 @@ def sample_pairs(spec: BivariateLogNormalSpec, n: int, seed: int,
     return _accumulate([(spec, powers)], n, seed)[0]
 
 
-def _z_score(diff: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return abs(diff) / se
-
-
 def _battery() -> list[tuple[str, BivariateLogNormalSpec, float, float]]:
     cases = [
         ("generic a=-2", BivariateLogNormalSpec(0.02, 0.04, 0.05, 0.15, 0.4), -2.0, 1.0),
@@ -252,52 +246,48 @@ def _battery() -> list[tuple[str, BivariateLogNormalSpec, float, float]]:
     return cases
 
 
-def _battery_summaries(draws: int, seed: int):
-    """(name, spec, a, b, summary) per battery case, from one pass over the stream.
-
-    Cases that share a spec share one group, so its (x, y) is formed once.
-    """
-    cases = _battery()
-    groups: dict[BivariateLogNormalSpec, list[tuple[float, float]]] = {}
-    for _, spec, a, b in cases:
-        groups.setdefault(spec, []).append((a, b))
-    summaries = dict(zip(groups, _accumulate(list(groups.items()), draws, seed)))
-    covs = {spec: iter(summary.power_covs) for spec, summary in summaries.items()}
-    return [(name, spec, a, b, replace(summaries[spec], power_covs=(next(covs[spec]),)))
-            for name, spec, a, b in cases]
+def _check(name: str, kind: str, closed_form: float, sample: float,
+           std_error: float) -> IdentityCheck:
+    """One identity check; a zero standard error passes only an exact match."""
+    diff = abs(sample - closed_form)
+    if std_error == 0.0:
+        z = 0.0 if diff == 0.0 else math.inf
+    else:
+        z = diff / std_error
+    return IdentityCheck(name, kind, closed_form, sample, std_error, z, z <= Z_MAX)
 
 
 def validate_identities(draws: int, seed: int = 42) -> ValidationReport:
     """Run the fixed identity battery; pass iff every check is within 4 SE.
 
     Each case checks the closed-form power covariance against the sample one
-    and both marginal means against their lognormal values.
+    and both marginal means against their lognormal values. Cases that share
+    a spec share one group of one pass over the stream, so its (x, y) is
+    formed once.
     """
     if draws < MIN_DRAWS:
         raise ValueError(f"need at least {MIN_DRAWS} draws")
 
+    cases = _battery()
+    groups: dict[BivariateLogNormalSpec, list[tuple[float, float]]] = {}
+    for _, spec, a, b in cases:
+        groups.setdefault(spec, []).append((a, b))
+    summaries = dict(zip(groups, _accumulate(list(groups.items()), draws, seed)))
+    covs = {spec: iter(summary.power_covs) for spec, summary in summaries.items()}
+
     checks: list[IdentityCheck] = []
-    for name, spec, a, b, summary in _battery_summaries(draws, seed):
+    for name, spec, a, b in cases:
+        summary, est = summaries[spec], next(covs[spec])
         closed = lognormal_power_cov(
             a, b, spec.mu_x, spec.sigma_x, spec.mu_y, spec.sigma_y, spec.rho
         )
-        est = summary.power_covs[0]
-        z = _z_score(est.value - closed, est.std_error)
-        checks.append(IdentityCheck(
-            name=name, kind="power-cov", closed_form=closed,
-            sample=est.value, std_error=est.std_error, z=z, ok=z <= Z_MAX,
-        ))
-        for kind, closed_m, sample_m, se_m in (
-            ("marginal-x", math.exp(spec.mu_x + 0.5 * spec.sigma_x**2),
-             summary.mean_x, summary.se_mean_x),
-            ("marginal-y", math.exp(spec.mu_y + 0.5 * spec.sigma_y**2),
-             summary.mean_y, summary.se_mean_y),
-        ):
-            z = _z_score(sample_m - closed_m, se_m)
-            checks.append(IdentityCheck(
-                name=name, kind=kind, closed_form=closed_m,
-                sample=sample_m, std_error=se_m, z=z, ok=z <= Z_MAX,
-            ))
+        checks += (
+            _check(name, "power-cov", closed, est.value, est.std_error),
+            _check(name, "marginal-x", math.exp(spec.mu_x + 0.5 * spec.sigma_x**2),
+                   summary.mean_x, summary.se_mean_x),
+            _check(name, "marginal-y", math.exp(spec.mu_y + 0.5 * spec.sigma_y**2),
+                   summary.mean_y, summary.se_mean_y),
+        )
 
     return ValidationReport(
         ok=all(c.ok for c in checks),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ _DAMPING_MAX = 1e14
 _DAMPING_MIN = 1e-14
 # A residual norm at or below this is an exact root and stops the solve.
 _RESIDUAL_TOLERANCE = 1e-12
+# An accepted step this small relative to 1 + |x| stops the solve.
+_STEP_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 500
 
 # Grid values per batched manifold solve; bounds the (n, 4, 3) temporaries.
 MANIFOLD_BLOCK = 256
@@ -55,15 +58,7 @@ CANONICAL_INITIAL = ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=2.0)
 @dataclass(frozen=True)
 class SolverConfig:
     initial: ModelParams = CANONICAL_INITIAL
-    max_iterations: int = 500
-    step_tolerance: float = 1e-12
-    options: ModelOptions = field(default_factory=ModelOptions)
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
+    options: ModelOptions = DEFAULT_OPTIONS
 
 
 @dataclass(frozen=True)
@@ -141,11 +136,10 @@ class RankReport:
     euler_gap: float
 
 
-def _numerical_rank(singular_values: np.ndarray) -> int:
-    largest = singular_values[0]
-    if largest == 0.0:
-        return 0
-    return int(np.sum(singular_values > RANK_RTOL * largest))
+def _jacobian_rank(m: MomentSet, x: np.ndarray, options: ModelOptions):
+    """The Jacobian's singular values at log-point x, and its numerical rank."""
+    sv = np.linalg.svd(jacobian_array(m, x, options), compute_uv=False)
+    return tuple(sv.tolist()), int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
@@ -177,7 +171,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
 
         converged = "max-iter"
         iterations = 0
-        for iterations in range(1, cfg.max_iterations + 1):
+        for iterations in range(1, _MAX_ITERATIONS + 1):
             if norm <= _RESIDUAL_TOLERANCE:
                 converged = "residual"
                 iterations -= 1
@@ -211,19 +205,18 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
 
             x, r, norm = x_new, r_new, norm_new
             lam = max(lam * 0.3, _DAMPING_MIN)
-            if math.sqrt(step @ step) <= cfg.step_tolerance * (1.0 + math.sqrt(x @ x)):
+            if math.sqrt(step @ step) <= _STEP_TOLERANCE * (1.0 + math.sqrt(x @ x)):
                 converged = "step"
                 break
 
-    params = ModelParams.from_log(*(float(v) for v in x))
-    sv = np.linalg.svd(jacobian_array(m, x, opts), compute_uv=False)
+    singular_values, rank = _jacobian_rank(m, x, opts)
     return Solution(
-        params=params,
+        params=ModelParams.from_log(*(float(v) for v in x)),
         residuals=Residuals.from_vector(r),
         iterations=iterations,
         converged=converged,
-        jacobian_singular_values=tuple(float(s) for s in sv),
-        numerical_rank=_numerical_rank(sv),
+        jacobian_singular_values=singular_values,
+        numerical_rank=rank,
     )
 
 
@@ -293,10 +286,10 @@ def residual_floor(m: MomentSet, options: ModelOptions = DEFAULT_OPTIONS) -> flo
 def rank_diagnostics(m: MomentSet, p: ModelParams,
                      options: ModelOptions = DEFAULT_OPTIONS) -> RankReport:
     """Aggregate the degeneracy diagnostics at a parameter point (pure data)."""
-    sv = np.linalg.svd(jacobian_array(m, p.log_vector(), options), compute_uv=False)
+    singular_values, rank = _jacobian_rank(m, p.log_vector(), options)
     return RankReport(
-        singular_values=tuple(float(s) for s in sv),
-        numerical_rank=_numerical_rank(sv),
+        singular_values=singular_values,
+        numerical_rank=rank,
         gap=lognormality_gap(m),
         residual_floor=residual_floor(m, options),
         euler_gap=euler_gap(m, p),

@@ -137,8 +137,17 @@ class TestClassifyAttitude:
         assert classify_attitude(1.0, 1.0, 1.5) == "risk-loving"
 
     def test_non_positive_sfom_rejected(self):
-        with pytest.raises(DomainError):
-            classify_attitude(1.0, 1.0, 0.0)
+        for sfom in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="sufficiency factor"):
+                classify_attitude(1.0, 1.0, sfom)
+
+    @pytest.mark.parametrize("certain,uncertain", [(math.nan, 1.0), (1.0, math.nan),
+                                                   (math.nan, math.nan)])
+    def test_nan_utility_rejected(self, certain, uncertain):
+        # A NaN fails both comparisons and would read as equal utilities.
+        for sfom in (0.5, 1.0, 1.5):
+            with pytest.raises(DomainError, match="NaN"):
+                classify_attitude(certain, uncertain, sfom)
 
     def test_label_depends_only_on_orderings(self):
         rng = np.random.default_rng(43)
@@ -169,3 +178,9 @@ class TestBuildReports:
             assert rep.uncertain_utility < rep.certain_utility
         assert reports[0].sfom == 1.0013
         assert reports[1].sfom == 1.0657
+
+    @pytest.mark.parametrize("sfom_equity,sfom_riskfree", [(math.nan, 1.0), (1.0, math.nan),
+                                                           (math.inf, 1.0)])
+    def test_invalid_sfom_rejected(self, bundled_series, sfom_equity, sfom_riskfree):
+        with pytest.raises(DomainError, match="sufficiency factor"):
+            build_reports(bundled_series, 1977, 0.95, 2.0, sfom_equity, sfom_riskfree)

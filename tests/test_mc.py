@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
-from sfm.mc import _BLOCK, _CHUNK, PowerCovSample, SampleSummary, _battery_summaries, _draw_chunk
+from sfm.mc import _BLOCK, _CHUNK, PowerCovSample, SampleSummary, _battery, _draw_chunk
 
 GOLDEN = Path(__file__).parent / "data" / "mc_validation_1e6_seed42.json"
 
@@ -150,8 +150,18 @@ class TestValidateIdentities:
     def test_battery_cases_match_single_group_calls(self):
         # Sharing one stream couples no cases: each equals its own call.
         draws = 3 * _BLOCK + 17
-        for _name, spec, a, b, summary in _battery_summaries(draws, 13):
-            assert summary == sample_pairs(spec, draws, 13, ((a, b),))
+        report = validate_identities(draws, 13)
+        assert len(report.cases) == 3 * len(_battery())
+        for k, (name, spec, a, b) in enumerate(_battery()):
+            cov, mean_x, mean_y = report.cases[3 * k:3 * k + 3]
+            assert {c.name for c in (cov, mean_x, mean_y)} == {name}
+            alone = sample_pairs(spec, draws, 13, ((a, b),))
+            (est,) = alone.power_covs
+            assert (cov.kind, cov.sample, cov.std_error) == ("power-cov", est.value, est.std_error)
+            assert (mean_x.kind, mean_x.sample, mean_x.std_error) == (
+                "marginal-x", alone.mean_x, alone.se_mean_x)
+            assert (mean_y.kind, mean_y.sample, mean_y.std_error) == (
+                "marginal-y", alone.mean_y, alone.se_mean_y)
 
     def test_golden_regression_fixture(self):
         golden = json.loads(GOLDEN.read_text())
