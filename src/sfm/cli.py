@@ -19,7 +19,7 @@ import numpy as np
 from .classify import build_reports
 from .dataset import load_series, growth_series
 from .errors import DataError, SolverError
-from .mc import MIN_DRAWS
+from .mc import MIN_DRAWS, validate_identities
 from .model import ModelOptions, ModelParams
 from .moments import estimate_moments, lognormality_gap
 from .solver import SolverConfig, solve, trace_manifold
@@ -221,8 +221,6 @@ def _cmd_manifold(args) -> str:
 
 
 def _cmd_validate(args):
-    from .mc import validate_identities
-
     report = validate_identities(args.draws, args.seed)
     doc = asdict(report)
     if not report.ok:

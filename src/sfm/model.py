@@ -21,11 +21,11 @@ For fixed tau every residual is affine in v = (b, w, d):
 with constant matrices A0 and A1 (A1 is nonzero only in the r3 row) and
 coefficient vectors c0, c1, c2 taken from the moments. They are written
 down once, as one coefficient table that is built once per (moments,
-options) and cached. ``affine_system`` returns these coefficients, batched
-over tau. The residuals, the Jacobian [A | dA/dtau @ v + dc/dtau] and the
-manifold's 3x3 solves all follow from the table; ``residual_array`` and
-``jacobian_array`` evaluate it at one tau with the same products as
-``affine_system``, so both paths agree bit for bit.
+options) and cached. ``affine_system`` returns (A, c), batched over tau. The
+residuals, the manifold's 3x3 solves and the Jacobian [A | dA/dtau @ v + dc/dtau]
+all follow from the table, whose tau derivative is the same table weighed by
+(0, 1, 2*tau). ``residual_array`` and ``jacobian_array`` evaluate it at one tau
+with the same products as ``affine_system``, so r and A agree bit for bit.
 
 The combination r2 + r4 - r5 = X - mu_x - sigma2_x/2 holds for every
 parameter vector, so the Jacobian has rank <= 3 everywhere: the system
@@ -118,24 +118,16 @@ class Residuals:
 
 
 _POWERS = np.arange(3.0)
-# d/dtau (1, tau, tau^2) = (1, tau, tau^2) @ _D_DTAU
-_D_DTAU = np.array([
-    [0.0, 1.0, 0.0],
-    [0.0, 0.0, 2.0],
-    [0.0, 0.0, 0.0],
-])
 
 
 @functools.lru_cache(maxsize=64)
-def _tables(m: MomentSet, options: ModelOptions) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only coefficient table of the system and its tau-derivative.
+def _table(m: MomentSet, options: ModelOptions) -> np.ndarray:
+    """The read-only coefficient table of the system.
 
     [A | c] = table[0] + tau*table[1] + tau^2*table[2]; rows r2..r5, columns
-    b, w, d, 1. The derivative table is _D_DTAU @ table. Built once per
-    (moments, options): a solve evaluates the system dozens of times.
+    b, w, d, 1. Built once per (moments, options): a solve evaluates the
+    system dozens of times.
     """
-    if min(m.mean_rf, m.mean_re, m.mean_x) <= 0:
-        raise DomainError("mean_rf, mean_re, mean_x must be positive (logs undefined)")
     f = math.log(m.mean_rf)
     rm = math.log(m.mean_re)
     mu, s2, h = m.mu_x, m.sigma2_x, 0.5 * m.sigma2_x
@@ -160,39 +152,30 @@ def _tables(m: MomentSet, options: ModelOptions) -> tuple[np.ndarray, np.ndarray
         0.0, 0.0, 0.0, 0.0,
         0.0, 0.0, 0.0, h,
     ]).reshape(3, 16)
-    d_table = _D_DTAU @ table
     table.flags.writeable = False
-    d_table.flags.writeable = False
-    return table, d_table
+    return table
 
 
 def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
-    """Coefficients (A, c, dA/dtau, dc/dtau) of r = A(tau) @ (b, w, d) + c(tau).
+    """Coefficients (A, c) of r = A(tau) @ (b, w, d) + c(tau).
 
-    ``tau`` is one value or an array of shape (n,); A and dA/dtau then have
-    shape (4, 3) or (n, 4, 3), c and dc/dtau shape (4,) or (n, 4). The
-    equations and the eq3/lnEx switches are written down only in its table.
-
-    Raises:
-        DomainError: if a log mean is undefined.
+    ``tau`` is one value or an array of shape (n,); A then has shape (4, 3)
+    or (n, 4, 3), c shape (4,) or (n, 4). The equations and the eq3/lnEx
+    switches are written down only in its table.
     """
-    table, d_table = _tables(m, options)
     tau = np.asarray(tau, dtype=float)
-    shape = tau.shape + (4, 4)
     # One (1, 3) row per tau, so every tau takes the same matmul kernel.
     powers = (tau[..., None] ** _POWERS)[..., None, :]
-    ac = (powers @ table).reshape(shape)
-    d_ac = (powers @ d_table).reshape(shape)
-    return ac[..., :3], ac[..., 3], d_ac[..., :3], d_ac[..., 3]
+    ac = (powers @ _table(m, options)).reshape(tau.shape + (4, 4))
+    return ac[..., :3], ac[..., 3]
 
 
 def residual_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Residuals (r2, r3, r4, r5) at a log-space parameter vector (b, w, d, tau)."""
     x = np.asarray(log_params, dtype=float)
-    table, _ = _tables(m, options)
     # affine_system's products at one tau, without its batching.
-    ac = (x[3] ** _POWERS @ table).reshape(4, 4)
+    ac = (x[3] ** _POWERS @ _table(m, options)).reshape(4, 4)
     return ac[:, :3] @ x[:3] + ac[:, 3]
 
 
@@ -206,10 +189,10 @@ def jacobian_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
     x = np.asarray(log_params, dtype=float)
-    table, d_table = _tables(m, options)
-    powers = x[3] ** _POWERS
-    jac = (powers @ table).reshape(4, 4)
-    d_ac = (powers @ d_table).reshape(4, 4)
+    table = _table(m, options)
+    jac = (x[3] ** _POWERS @ table).reshape(4, 4)
+    # d/dtau (1, tau, tau^2) = (0, 1, 2*tau) weighs the same table into [dA/dtau | dc/dtau].
+    d_ac = (np.array((0.0, 1.0, 2.0 * x[3])) @ table).reshape(4, 4)
     jac[:, 3] = d_ac[:, :3] @ x[:3] + d_ac[:, 3]     # overwrites c with dr/dtau
     return jac
 

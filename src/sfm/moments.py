@@ -10,7 +10,7 @@ and it controls the attainable residual norm of the equation system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,10 @@ class MomentSet:
     convention: str = "sample"
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ValueError(f"moments must be finite, got {field.name} = {value}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown variance convention {self.convention!r}")
         if self.sigma2_x < 0 or self.sigma2_r < 0:
@@ -82,18 +86,20 @@ def estimate_moments(growth: GrowthSeries, convention: str = "sample") -> Moment
     rho = cov / math.sqrt(var_x * var_r)
     rho = min(1.0, max(-1.0, rho))
 
-    return MomentSet(
-        mu_x=float(lx.mean()),
-        sigma2_x=var_x,
-        mu_r=float(lr.mean()),
-        sigma2_r=var_r,
-        rho=rho,
-        mean_x=float(growth.x.mean()),
-        mean_re=float(growth.r_e.mean()),
-        mean_rf=float(growth.r_f.mean()),
-        n_obs=len(growth),
-        convention=convention,
-    )
+    # An overflowing mean comes out inf, which MomentSet rejects by name.
+    with np.errstate(over="ignore"):
+        return MomentSet(
+            mu_x=float(lx.mean()),
+            sigma2_x=var_x,
+            mu_r=float(lr.mean()),
+            sigma2_r=var_r,
+            rho=rho,
+            mean_x=float(growth.x.mean()),
+            mean_re=float(growth.r_e.mean()),
+            mean_rf=float(growth.r_f.mean()),
+            n_obs=len(growth),
+            convention=convention,
+        )
 
 
 def lognormality_gap(m: MomentSet) -> float:

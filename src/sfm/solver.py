@@ -244,7 +244,7 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
         rows = slice(start, start + MANIFOLD_BLOCK)
         tau = taus[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            a, c, _, _ = affine_system(m, tau, options)
+            a, c = affine_system(m, tau, options)
             # A's r3 coefficient on b is k, the determinant of rows r2-r4.
             singular = np.flatnonzero(a[:, 1, 0] == 0.0)
             if singular.size:
@@ -272,7 +272,7 @@ def _least_squares_point(m: MomentSet, tau: float,
     The residuals are affine in (b, w, d), so v*(tau) = lstsq(A(tau), -c(tau))
     (the separable structure of Golub & Pereyra 1973, variable projection).
     """
-    a, c, _, _ = affine_system(m, tau, options)
+    a, c = affine_system(m, tau, options)
     return np.linalg.lstsq(a, -c, rcond=None)[0]
 
 

@@ -81,6 +81,11 @@ class TestUncertainUtility:
         value = uncertain_utility(10.0, [1.07] * 5, beta=0.96, tau=2.0)
         assert value == pytest.approx(0.96 * crra_utility(10.7, 2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("c_now", [0.0, -2.0])
+    def test_non_positive_consumption_rejected(self, c_now):
+        with pytest.raises(DomainError, match="consumption"):
+            uncertain_utility(c_now, [1.0, 1.1], beta=1.0, tau=1.0)
+
     def test_empty_scenarios_rejected(self):
         with pytest.raises(DomainError):
             uncertain_utility(1.0, [], beta=1.0, tau=1.0)
@@ -115,6 +120,12 @@ class TestUncertainUtility:
             if abs(value - fixture) <= 1e-6
         }
         assert matches == {}  # match status: none
+
+
+class TestReturnScenarios:
+    def test_unknown_investor_rejected(self, bundled_growth):
+        with pytest.raises(ValueError, match="unknown investor type 'bond'"):
+            return_scenarios(bundled_growth, "bond")
 
 
 class TestClassifyAttitude:

@@ -100,6 +100,28 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"{bad}: line 3: year 1901: consumption and returns must be finite\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["moments"],
+        ["solve"],
+        ["manifold", "--tau-min", "0.5", "--tau-max", "2", "--steps", "3"],
+    ], ids=["moments", "solve", "manifold"])
+    def test_overflowing_mean_is_numerical_failure(self, argv, tmp_path, monkeypatch, capsys):
+        # Two equity returns of 1e308 are finite, but their mean overflows.
+        lines = DATA_PATH.read_text().splitlines()
+        for i in (5, 6):
+            year, consumption, _, riskfree = lines[i].split(",")
+            lines[i] = f"{year},{consumption},1e308,{riskfree}"
+        bad = tmp_path / "overflow.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run_main([*argv, "--data", str(bad)], monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err == "moments must be finite, got mean_re = inf\n"
+
+    def test_help_is_exit_0(self, monkeypatch, capsys):
+        code, out, err = run_main(["--help"], monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: sfm")
+
     def test_success_is_exit_0(self):
         assert run_command(["moments", "--data", DATA]).exit_code == 0
 
@@ -297,7 +319,7 @@ class TestValidateCommand:
         assert all(c["z"] <= 4.0 for c in doc["cases"])
 
     def test_failed_battery_is_nonzero_exit(self, monkeypatch):
-        import sfm.mc as mc
+        import sfm.cli as cli
         from sfm.mc import IdentityCheck, ValidationReport
 
         def failing(draws, seed=42):
@@ -307,7 +329,7 @@ class TestValidateCommand:
             )
             return ValidationReport(ok=False, draws=draws, seed=seed, cases=(case,))
 
-        monkeypatch.setattr(mc, "validate_identities", failing)
+        monkeypatch.setattr(cli, "validate_identities", failing)
         outcome = run_command(["validate", "--draws", "10000"])
         assert outcome.exit_code == 3
         assert "failed" in outcome.payload

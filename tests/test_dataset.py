@@ -38,6 +38,21 @@ class TestLoadSeries:
         assert len(series) == 3
         assert series.consumption == (100.0, 110.0, 121.0)
 
+    def test_blank_line_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "blank.csv", [
+            "1900,100,1.0,1.0",
+            "",
+            "1901,110,1.0,1.0",
+            "1902,121,1.0,1.0",
+        ])
+        assert load_series(path).years == (1900, 1901, 1902)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(DataError, match="empty file"):
+            load_series(path)
+
     def test_rows_sorted_by_year(self, tmp_path):
         path = write_csv(tmp_path / "shuffled.csv", [
             "1902,121,1.0,1.0",

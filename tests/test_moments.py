@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
 
 from sfm import (
+    DataError,
     DegenerateSeriesError,
     GrowthSeries,
     MomentSet,
@@ -24,7 +26,52 @@ def make_growth(x, r_e=None, r_f=None):
     )
 
 
+VALID_FIELDS = dict(
+    mu_x=0.02, sigma2_x=0.001, mu_r=0.05, sigma2_r=0.02, rho=0.3,
+    mean_x=1.02, mean_re=1.07, mean_rf=1.01, n_obs=50,
+)
+
+
+class TestMomentSet:
+    @pytest.mark.parametrize("fields,match", [
+        ({"mean_re": math.inf}, "finite, got mean_re = inf"),
+        ({"mu_x": -math.inf}, "finite, got mu_x = -inf"),
+        ({"sigma2_r": math.nan}, "finite, got sigma2_r = nan"),
+        ({"rho": math.nan}, "finite, got rho = nan"),
+        # min() with a leading NaN is NaN, which would pass the positivity check.
+        ({"mean_x": math.nan, "mean_rf": -1.0}, "finite, got mean_x = nan"),
+        ({"convention": "bessel"}, "convention"),
+        ({"sigma2_x": -1e-3}, "variances"),
+        ({"sigma2_r": -1e-3}, "variances"),
+        ({"rho": 1.5}, "correlation"),
+        ({"rho": -1.5}, "correlation"),
+        ({"mean_rf": 0.0}, "means must be positive"),
+        ({"n_obs": 1}, "at least 2"),
+    ])
+    def test_invalid_fields_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            MomentSet(**{**VALID_FIELDS, **fields})
+
+
 class TestEstimateMoments:
+    def test_single_observation_rejected(self):
+        with pytest.raises(DataError, match="at least 2"):
+            estimate_moments(make_growth([1.1]))
+
+    @pytest.mark.parametrize("column", ["x", "r_e", "r_f"])
+    def test_non_positive_value_rejected(self, column):
+        values = {"x": [1.1, 1.2], "r_e": [1.05, 1.1], "r_f": [1.01, 1.02]}
+        values[column][1] = 0.0
+        with pytest.raises(DataError, match="must be positive"):
+            estimate_moments(make_growth(**values))
+
+    def test_overflowing_mean_names_the_field_without_warning(self):
+        growth = make_growth([1.1, 1.2, 1.0], r_e=[1e308, 1e308, 1.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite, got mean_re = inf"):
+                estimate_moments(growth)
+
     def test_constant_series_raises_degenerate(self):
         growth = make_growth([1.1, 1.1])
         with pytest.raises(DegenerateSeriesError, match="ln x"):

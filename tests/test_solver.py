@@ -92,6 +92,15 @@ class TestSolve:
                 break
         assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
+    def test_damping_exhaustion_stops_at_the_start(self, bundled_moments, monkeypatch):
+        # A damping cap below the initial damping leaves no trial step to accept.
+        monkeypatch.setattr(solver, "_DAMPING_MAX", solver._DAMPING_INIT / 10)
+        solution = solve(bundled_moments)
+        assert solution.converged == "step"
+        assert solution.iterations == 1
+        start_norm = residual_vector(bundled_moments, CANONICAL_INITIAL).norm
+        assert solution.residuals.norm == start_norm == 0.09215007413753547
+
     @PROPERTY_SETTINGS
     @given(m=moment_sets(), options=st.sampled_from(ALL_OPTIONS), start=log_points)
     def test_end_point_is_the_least_squares_point(self, m, options, start):
