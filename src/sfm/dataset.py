@@ -112,11 +112,23 @@ def growth_series(series: MarketSeries) -> GrowthSeries:
     The observation for year t carries x_t = c_t / c_{t-1} together with the
     gross returns recorded for year t (realized over the same t-1 -> t
     interval), so a series of n years yields n - 1 observations.
+
+    Raises DataError naming the year when a growth factor overflows to
+    infinity or underflows to zero.
     """
     levels = np.array(series.consumption, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        x = levels[1:] / levels[:-1]
+    bad = np.flatnonzero(~((x > 0) & (x < math.inf)))
+    if bad.size:
+        t = int(bad[0])
+        raise DataError(
+            f"year {series.years[t + 1]}: consumption growth factor {float(x[t])!r} "
+            "must be finite and positive"
+        )
     return GrowthSeries(
         years=np.array(series.years[1:], dtype=np.int64),
-        x=levels[1:] / levels[:-1],
+        x=x,
         r_e=np.array(series.equity_return[1:], dtype=np.float64),
         r_f=np.array(series.riskfree_return[1:], dtype=np.float64),
     )

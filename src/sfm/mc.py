@@ -6,7 +6,9 @@ given (spec, n, seed) and memory stays bounded at any draw count. A chunk's
 two normal vectors do not depend on the spec, so one pass over the stream
 serves any number of (spec, powers) groups: each chunk is drawn once and
 walked in cache-sized blocks, and every group accumulates sums of its
-values shifted by their first-block means. The centred moments and their
+values shifted by their first-block means. A group keeps the logs
+ln x = mu_x + sigma_x zx and ln y it exponentiates, and forms each power
+as x^a = exp(a ln x), one ``exp`` per column. The centred moments and their
 standard errors follow from those sums in closed form.
 """
 
@@ -50,6 +52,8 @@ class BivariateLogNormalSpec:
     rho: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu_x, self.sigma_x, self.mu_y, self.sigma_y))):
+            raise ValueError("mu_x, sigma_x, mu_y and sigma_y must be finite")
         if self.sigma_x < 0 or self.sigma_y < 0:
             raise ValueError("sigma_x and sigma_y must be non-negative")
         if not -1.0 <= self.rho <= 1.0:
@@ -101,28 +105,29 @@ def _normals(seed: int, index: int, zx: np.ndarray, z_perp: np.ndarray) -> None:
     rng.standard_normal(out=z_perp)
 
 
-def _pair(spec: BivariateLogNormalSpec, zx, z_perp, x, y):
-    """Write x = exp(mu_x + sigma_x zx) and y = exp(mu_y + sigma_y zy) in place.
+def _pair(spec: BivariateLogNormalSpec, zx, z_perp, lx, ly, x, y):
+    """Write the logs lx = mu_x + sigma_x zx, ly = mu_y + sigma_y zy and the
+    levels x = exp(lx), y = exp(ly) in place.
 
-    zy = rho zx + sqrt(1 - rho^2) z_perp; x holds its second term meanwhile.
+    zy = rho zx + sqrt(1 - rho^2) z_perp; lx holds its second term meanwhile.
     """
-    np.multiply(zx, spec.rho, out=y)
-    np.multiply(z_perp, math.sqrt(1.0 - spec.rho**2), out=x)
-    np.add(y, x, out=y)
-    np.multiply(y, spec.sigma_y, out=y)
-    np.add(y, spec.mu_y, out=y)
-    np.exp(y, out=y)
-    np.multiply(zx, spec.sigma_x, out=x)
-    np.add(x, spec.mu_x, out=x)
-    np.exp(x, out=x)
+    np.multiply(zx, spec.rho, out=ly)
+    np.multiply(z_perp, math.sqrt(1.0 - spec.rho**2), out=lx)
+    np.add(ly, lx, out=ly)
+    np.multiply(ly, spec.sigma_y, out=ly)
+    np.add(ly, spec.mu_y, out=ly)
+    np.exp(ly, out=y)
+    np.multiply(zx, spec.sigma_x, out=lx)
+    np.add(lx, spec.mu_x, out=lx)
+    np.exp(lx, out=x)
     return x, y
 
 
 def _draw_chunk(spec: BivariateLogNormalSpec, seed: int, index: int, size: int):
     """Chunk ``index`` of the (x, y) stream: the reference for the accumulator."""
-    zx, z_perp, x, y = (np.empty(size) for _ in range(4))
+    zx, z_perp, lx, ly, x, y = (np.empty(size) for _ in range(6))
     _normals(seed, index, zx, z_perp)
-    return _pair(spec, zx, z_perp, x, y)
+    return _pair(spec, zx, z_perp, lx, ly, x, y)
 
 
 def _shift(w: np.ndarray, row: np.ndarray, k: int, first: bool) -> None:
@@ -156,21 +161,22 @@ def _accumulate(groups, n: int, seed: int) -> list[SampleSummary]:
     small and the closed-form centring in ``_summary`` free of cancellation.
     Per group the marginal rows hold (shift, sum w', sum w'^2) for w = x, y;
     each power row holds (c_u, c_v, sum u', sum v', sum u'v', sum u'^2,
-    sum v'^2, sum u'^2 v', sum u' v'^2, sum u'^2 v'^2) for u = x^a, v = y^b.
+    sum v'^2, sum u'^2 v', sum u' v'^2, sum u'^2 v'^2) for u = x^a, v = y^b,
+    formed as exp(a ln x) and exp(b ln y).
     """
     if n < 2:
         raise ValueError("need at least 2 draws")
-    buffers = [np.empty(min(_BLOCK, n)) for _ in range(5)]
+    buffers = [np.empty(min(_BLOCK, n)) for _ in range(7)]
     marginals = [np.zeros((2, 3)) for _ in groups]
     crosses = [np.zeros((len(powers), 10)) for _, powers in groups]
     for block, (zx, z_perp) in enumerate(_blocks(n, seed)):
         first = block == 0
-        x, y, u, v, p = (w[:len(zx)] for w in buffers)
+        lx, ly, x, y, u, v, p = (w[:len(zx)] for w in buffers)
         for (spec, powers), marginal, cross in zip(groups, marginals, crosses):
-            _pair(spec, zx, z_perp, x, y)
+            _pair(spec, zx, z_perp, lx, ly, x, y)
             for (a, b), row in zip(powers, cross):
-                np.power(x, a, out=u)
-                np.power(y, b, out=v)
+                np.exp(np.multiply(lx, a, out=u), out=u)
+                np.exp(np.multiply(ly, b, out=v), out=v)
                 _shift(u, row, 0, first)
                 _shift(v, row, 1, first)
                 np.multiply(u, v, out=p)
@@ -224,9 +230,12 @@ def sample_pairs(spec: BivariateLogNormalSpec, n: int, seed: int,
         spec: log-space parameters of the pair.
         n: number of draws (>= 2).
         seed: RNG seed; identical (spec, n, seed) gives identical output.
-        powers: (a, b) exponent pairs whose sample covariance is requested.
+        powers: (a, b) exponent pairs whose sample covariance is requested;
+            every exponent must be finite.
     """
     powers = tuple((float(a), float(b)) for a, b in powers)
+    if not all(math.isfinite(a) and math.isfinite(b) for a, b in powers):
+        raise ValueError("exponents must be finite")
     return _accumulate([(spec, powers)], n, seed)[0]
 
 

@@ -100,6 +100,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"{bad}: line 3: year 1901: consumption and returns must be finite\n"
 
+    @pytest.mark.parametrize("levels,factor", [
+        (("1e-300", "1e300"), "inf"),
+        (("1e300", "1e-300"), "0.0"),
+    ], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("command", ["moments", "solve"])
+    def test_out_of_range_growth_factor_is_data_error(self, levels, factor, command,
+                                                      tmp_path, monkeypatch, capsys):
+        # Both levels are valid, but their ratio leaves the positive finite floats.
+        first, rest = levels
+        bad = tmp_path / "growth.csv"
+        bad.write_text(
+            "year,consumption,equity_return,riskfree_return\n"
+            f"1900,{first},1.0,1.0\n1901,{rest},1.1,1.0\n"
+            f"1902,{rest},1.0,1.0\n1903,{rest},1.2,1.0\n"
+        )
+        code, out, err = run_main([command, "--data", str(bad)], monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"year 1901: consumption growth factor {factor} must be finite and positive\n"
+
     @pytest.mark.parametrize("argv", [
         ["moments"],
         ["solve"],

@@ -12,6 +12,10 @@ from sfm.mc import _BLOCK, _CHUNK, PowerCovSample, SampleSummary, _battery, _dra
 
 GOLDEN = Path(__file__).parent / "data" / "mc_validation_1e6_seed42.json"
 
+# Every exponent the identity battery uses, and its distinct specs.
+BATTERY_EXPONENTS = sorted({e for _, _, a, b in _battery() for e in (a, b)})
+BATTERY_SPECS = list(dict.fromkeys(spec for _, spec, _, _ in _battery()))
+
 
 def two_pass_summary(spec, n, seed, powers) -> SampleSummary:
     """Reference: means, then centred moments, over the concatenated stream."""
@@ -106,6 +110,22 @@ class TestSamplePairs:
         assert_agrees(sample_pairs(spec, n, seed, powers),
                       two_pass_summary(spec, n, seed, powers))
 
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(
+        spec=st.sampled_from(BATTERY_SPECS),
+        powers=st.lists(
+            st.tuples(st.floats(-4.0, 2.0) | st.sampled_from(BATTERY_EXPONENTS),
+                      st.floats(0.5, 2.0) | st.sampled_from(BATTERY_EXPONENTS)),
+            min_size=1, max_size=16),
+        n=st.integers(_BLOCK + 1, 4 * _BLOCK),
+        seed=st.integers(0, 2**31),
+    )
+    def test_log_space_powers_match_direct_powers(self, spec, powers, n, seed):
+        # The accumulator forms x^a as exp(a ln x); the reference keeps x**a.
+        # Exponents: the benchmark's sample_pairs ranges and the battery's.
+        assert_agrees(sample_pairs(spec, n, seed, powers),
+                      two_pass_summary(spec, n, seed, powers))
+
     def test_needs_two_draws(self):
         spec = BivariateLogNormalSpec(0.0, 0.1, 0.0, 0.1, 0.0)
         with pytest.raises(ValueError):
@@ -116,6 +136,21 @@ class TestSamplePairs:
             BivariateLogNormalSpec(0.0, -0.1, 0.0, 0.1, 0.0)
         with pytest.raises(ValueError):
             BivariateLogNormalSpec(0.0, 0.1, 0.0, 0.1, 1.5)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spec_rejected(self, field, value):
+        params = [0.0, 0.1, 0.0, 0.1, 0.0]
+        params[field] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            BivariateLogNormalSpec(*params)
+
+    @pytest.mark.parametrize("power", [(math.nan, 1.0), (math.inf, 1.0),
+                                       (1.0, -math.inf), (-2.0, math.nan)])
+    def test_non_finite_exponent_rejected(self, power):
+        spec = BivariateLogNormalSpec(0.02, 0.04, 0.05, 0.15, 0.4)
+        with pytest.raises(ValueError, match="exponents must be finite"):
+            sample_pairs(spec, 10_000, seed=1, powers=((1.0, 1.0), power))
 
     def test_generic_case_within_three_standard_errors(self):
         # Sampling oracle for the closed-form power covariance at 1e7 draws.
