@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 On a non-zero exit the diagnostic goes to stderr and stdout stays empty.
 JSON output is deterministic: stable key order and round-trippable float
 formatting, so identical inputs give byte-identical documents.
+
+Each handler imports the modules it runs when it runs, so a command loads
+only its own share of the package and a usage error loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .classify import build_reports
-from .dataset import load_series, growth_series
 from .errors import DataError, SolverError
-from .mc import MIN_DRAWS, validate_identities
-from .model import ModelOptions, ModelParams
-from .moments import estimate_moments, lognormality_gap
-from .solver import SolverConfig, solve, trace_manifold
 
 _PARAM_FMT = "{:.4f}"     # table precision for parameters, as published
 _UTILITY_FMT = "{:.8f}"   # table precision for utilities, as published
@@ -78,7 +73,12 @@ _non_negative_int = _checked(int, lambda value: value >= 0, "must be an integer 
 _step_count = _checked(
     int, lambda value: 1 <= value <= MAX_STEPS, f"must be an integer in [1, {MAX_STEPS}]"
 )
-_draw_count = _checked(int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}")
+
+
+def _draw_count(text: str) -> int:
+    from .mc import MIN_DRAWS
+
+    return _checked(int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}")(text)
 
 
 def _build_parser() -> _Parser:
@@ -131,17 +131,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _options(args) -> ModelOptions:
+def _options(args):
+    from .model import ModelOptions
+
     lnex = "arithmetic" if args.lnex == "arithmetic" else "lognormal_implied"
     return ModelOptions(eq3_variant=args.eq3, lnex_mode=lnex)
 
 
 def _load_moments(args, convention: str):
+    from .dataset import growth_series, load_series
+    from .moments import estimate_moments
+
     series = load_series(args.data)
     return estimate_moments(growth_series(series), convention)
 
 
 def _cmd_moments(args) -> str:
+    from .moments import lognormality_gap
+
     m = _load_moments(args, args.variance)
     return to_json({**asdict(m), "gap": lognormality_gap(m)})
 
@@ -194,6 +201,10 @@ def _solve_table(solution, gap: float) -> str:
 
 
 def _cmd_solve(args) -> str:
+    from .model import ModelParams
+    from .moments import lognormality_gap
+    from .solver import SolverConfig, solve
+
     m = _load_moments(args, args.variance)
     cfg = SolverConfig(
         initial=ModelParams(args.beta0, args.omega0, args.delta0, args.tau0),
@@ -207,6 +218,11 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_manifold(args) -> str:
+    import numpy as np
+
+    from .moments import lognormality_gap
+    from .solver import trace_manifold
+
     m = _load_moments(args, args.variance)
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
     manifold = trace_manifold(m, grid, _options(args))
@@ -221,6 +237,8 @@ def _cmd_manifold(args) -> str:
 
 
 def _cmd_validate(args):
+    from .mc import validate_identities
+
     report = validate_identities(args.draws, args.seed)
     doc = asdict(report)
     if not report.ok:
@@ -246,6 +264,9 @@ def _classify_table(reports) -> str:
 
 
 def _cmd_classify(args) -> str:
+    from .classify import build_reports
+    from .dataset import load_series
+
     series = load_series(args.data)
     reports = build_reports(
         series, args.year, args.beta, args.tau, args.sfom_equity, args.sfom_riskfree
@@ -263,6 +284,19 @@ _HANDLERS = {
     "validate": _cmd_validate,
     "classify": _cmd_classify,
 }
+
+
+def __getattr__(name):
+    """Read a public sfm name here (``sfm.cli.solve``) as ``sfm.solve``.
+
+    The handlers import what they run from its home module when they run,
+    so a patch must go there (``sfm.solver.solve``), not here.
+    """
+    import sfm
+
+    if name not in sfm.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sfm, name)
 
 
 def run_command(argv) -> CommandOutcome:

@@ -309,7 +309,7 @@ class TestManifoldCommand:
             manifold = trace_manifold(*args)
             return Manifold(manifold.tau, manifold.factors, manifold.residuals, np.array([math.inf]))
 
-        monkeypatch.setattr("sfm.cli.trace_manifold", overflowing)
+        monkeypatch.setattr("sfm.solver.trace_manifold", overflowing)
         with pytest.raises(ValueError) as rejected:
             to_json(math.inf)
         argv = ["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "1", "--steps", "1"]
@@ -338,7 +338,7 @@ class TestValidateCommand:
         assert all(c["z"] <= 4.0 for c in doc["cases"])
 
     def test_failed_battery_is_nonzero_exit(self, monkeypatch):
-        import sfm.cli as cli
+        import sfm.mc
         from sfm.mc import IdentityCheck, ValidationReport
 
         def failing(draws, seed=42):
@@ -348,7 +348,7 @@ class TestValidateCommand:
             )
             return ValidationReport(ok=False, draws=draws, seed=seed, cases=(case,))
 
-        monkeypatch.setattr(cli, "validate_identities", failing)
+        monkeypatch.setattr(sfm.mc, "validate_identities", failing)
         outcome = run_command(["validate", "--draws", "10000"])
         assert outcome.exit_code == 3
         assert "failed" in outcome.payload

@@ -1,3 +1,5 @@
+import pytest
+
 import sfm
 
 
@@ -10,3 +12,31 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from sfm import *", namespace)
     assert set(sfm.__all__) <= set(namespace)
+
+
+def test_every_export_is_its_home_module_object():
+    import importlib
+
+    for module, names in sfm._EXPORTS.items():
+        home = importlib.import_module(f"sfm.{module}")
+        assert [name for name in names if getattr(sfm, name) is not getattr(home, name)] == []
+    assert sorted(name for names in sfm._EXPORTS.values() for name in names) == sfm.__all__
+
+
+def test_dir_lists_every_export():
+    assert set(sfm.__all__) <= set(dir(sfm))
+
+
+def test_unknown_name_raises_attribute_error_naming_sfm():
+    with pytest.raises(AttributeError, match="module 'sfm' has no attribute 'no_such_name'"):
+        sfm.no_such_name
+    assert not hasattr(sfm, "no_such_name")
+
+
+def test_cli_reads_public_names_through_the_package():
+    import sfm.cli
+    import sfm.solver
+
+    assert sfm.cli.solve is sfm.solver.solve
+    with pytest.raises(AttributeError, match="module 'sfm.cli' has no attribute 'no_such_name'"):
+        sfm.cli.no_such_name
