@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .errors import DataError, SolverError
 
@@ -29,10 +29,7 @@ _PARAM_HEADER = f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"
 MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    payload: str
+CommandOutcome = namedtuple("CommandOutcome", "exit_code payload")
 
 
 class _UsageError(Exception):
@@ -150,7 +147,7 @@ def _cmd_moments(args) -> str:
     from .moments import lognormality_gap
 
     m = _load_moments(args, args.variance)
-    return to_json({**asdict(m), "gap": lognormality_gap(m)})
+    return to_json({**vars(m), "gap": lognormality_gap(m)})
 
 
 def _solution_doc(solution, gap: float) -> dict:
@@ -236,14 +233,14 @@ def _cmd_manifold(args) -> str:
     return to_json({"gap": lognormality_gap(m), "points": points})
 
 
-def _cmd_validate(args):
+def _cmd_validate(args) -> str:
     from .mc import validate_identities
 
     report = validate_identities(args.draws, args.seed)
-    doc = asdict(report)
+    doc = {**vars(report), "cases": [vars(case) for case in report.cases]}
     if not report.ok:
         # stderr diagnostic: an infinite z (zero standard error) may show here
-        return CommandOutcome(3, f"identity validation failed\n{json.dumps(doc, indent=2)}")
+        raise ArithmeticError(f"identity validation failed\n{json.dumps(doc, indent=2)}")
     return to_json(doc)
 
 
@@ -272,7 +269,7 @@ def _cmd_classify(args) -> str:
         series, args.year, args.beta, args.tau, args.sfom_equity, args.sfom_riskfree
     )
     if args.format == "json":
-        rows = [{k: v for k, v in asdict(rep).items() if k != "year"} for rep in reports]
+        rows = [{k: v for k, v in vars(rep).items() if k != "year"} for rep in reports]
         return to_json({"year": args.year, "reports": rows})
     return _classify_table(reports)
 
@@ -302,20 +299,16 @@ def __getattr__(name):
 def run_command(argv) -> CommandOutcome:
     """Dispatch an argument vector; never raises for expected failure modes."""
     try:
-        parser = _build_parser()
-        args = parser.parse_args(list(argv))
-        result = _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(list(argv))
+        return CommandOutcome(0, _HANDLERS[args.command](args))
     except _UsageError as exc:
         return CommandOutcome(1, str(exc))
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except DataError as exc:
         return CommandOutcome(2, str(exc))
-    except (SolverError, FloatingPointError, OverflowError, ValueError) as exc:
+    except (SolverError, ArithmeticError, ValueError) as exc:
         return CommandOutcome(3, str(exc))
     except SystemExit as exc:  # argparse --help
         return CommandOutcome(int(exc.code or 0), "")
-    if isinstance(result, CommandOutcome):
-        return result
-    return CommandOutcome(0, result)
 
 
 def main() -> None:

@@ -66,39 +66,47 @@ def load_series(path: str | Path) -> MarketSeries:
     """Read and validate the canonical CSV, sorting rows by ascending year.
 
     Raises DataError with the offending line number for malformed rows,
-    non-positive or non-finite values, and year gaps or duplicates.
+    non-positive or non-finite values, and year gaps or duplicates, and
+    naming the file when it cannot be opened or read as UTF-8 CSV.
     """
     path = Path(path)
     rows: list[tuple[int, float, float, float]] = []
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataError(
-                f"{path}: line 1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+    try:
+        with path.open("r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                year = int(row[0])
-                values = (float(row[1]), float(row[2]), float(row[3]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            for name, value in zip(CSV_HEADER[1:], values):
-                if not value > 0:
-                    raise DataError(f"{path}: line {lineno}: year {year}: {name} must be positive")
-            # NaN and -inf already failed above; +inf is the one non-finite value left.
-            if math.inf in values:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            if tuple(h.strip() for h in header) != CSV_HEADER:
                 raise DataError(
-                    f"{path}: line {lineno}: year {year}: consumption and returns must be finite"
+                    f"{path}: line 1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
                 )
-            rows.append((year, *values))
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    year = int(row[0])
+                    values = (float(row[1]), float(row[2]), float(row[3]))
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from None
+                for name, value in zip(CSV_HEADER[1:], values):
+                    if not value > 0:
+                        raise DataError(f"{path}: line {lineno}: year {year}: {name} must be positive")
+                # NaN and -inf already failed above; +inf is the one non-finite value left.
+                if math.inf in values:
+                    raise DataError(
+                        f"{path}: line {lineno}: year {year}: consumption and returns must be finite"
+                    )
+                rows.append((year, *values))
+    except OSError as exc:  # its message already names the file
+        raise DataError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
     try:
         return MarketSeries(*(zip(*sorted(rows)) if rows else [()] * 4))

@@ -18,8 +18,4 @@ class SingularSubsystemError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when the solver hits non-finite values; carries the last iterate."""
-
-    def __init__(self, message: str, last_params=None):
-        super().__init__(message)
-        self.last_params = last_params
+    """Raised when the solver's residuals are non-finite at its initial point."""

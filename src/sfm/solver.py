@@ -151,8 +151,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     "max-iter".
 
     Raises:
-        SolverError: if the residuals turn non-finite at the initial point;
-            the exception carries the last parameter iterate.
+        SolverError: if the residuals are non-finite at the initial point.
     """
     cfg = cfg or SolverConfig()
     opts = cfg.options
@@ -164,9 +163,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     with np.errstate(over="ignore", invalid="ignore"):
         r = residual_array(m, x, opts)
         if not np.all(np.isfinite(r)):
-            raise SolverError(
-                "non-finite residuals at initial point", last_params=cfg.initial
-            )
+            raise SolverError("non-finite residuals at initial point")
         norm = math.sqrt(r @ r)
 
         converged = "max-iter"

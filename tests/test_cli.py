@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import gzip
 import io
 import json
 import math
@@ -60,11 +62,49 @@ def run_main(argv, monkeypatch, capsys):
     return exit_info.value.code, out, err
 
 
-class TestExitCodes:
-    def test_missing_file_is_data_error(self):
-        outcome = run_command(["solve", "--data", "missing.csv"])
-        assert outcome.exit_code == 2
+HEADER = "year,consumption,equity_return,riskfree_return\n"
 
+
+def _written(path, data):
+    """``path`` after writing ``data`` (text or bytes) to it."""
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return path
+
+
+def _symlink_loop(directory):
+    loop = directory / "loop.csv"
+    loop.symlink_to(loop.name)
+    return loop, "Too many levels of symbolic links"
+
+
+# --data paths that cannot be read as the canonical CSV, each with a fragment
+# its one-line diagnostic must hold.
+UNREADABLE = {
+    "missing": lambda d: (d / "missing.csv", "[Errno 2] No such file or directory: '"),
+    "directory": lambda d: (d, "[Errno 21] Is a directory: '"),
+    "through-a-file": lambda d: (_written(d / "file.csv", HEADER) / "x", "Not a directory"),
+    "symlink-loop": _symlink_loop,
+    "invalid-utf8": lambda d: (
+        _written(d / "latin1.csv", HEADER.encode() + b"1900,100,1.0\xff,1.0\n"),
+        "not UTF-8 text"),
+    "utf16": lambda d: (
+        _written(d / "utf16.csv", DATA_PATH.read_text().encode("utf-16")), "not UTF-8 text"),
+    "gzip": lambda d: (
+        _written(d / "data.csv.gz", gzip.compress(DATA_PATH.read_bytes(), mtime=0)),
+        "not UTF-8 text"),
+    "field-over-limit": lambda d: (
+        _written(d / "wide.csv", HEADER + "1" * (csv.field_size_limit() + 1) + ",1,1,1\n"),
+        ": line 2: field larger than field limit"),
+    "negative-value": lambda d: (
+        _written(d / "bad.csv", HEADER + "1900,-5,1,1\n"),
+        ": line 2: year 1900: consumption must be positive"),
+}
+
+
+class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         outcome = run_command(["solve", "--data", DATA, "--frobnicate"])
         assert outcome.exit_code == 1
@@ -77,12 +117,13 @@ class TestExitCodes:
         outcome = run_command(["explode"])
         assert outcome.exit_code == 1
 
-    def test_invalid_data_file_is_data_error(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("year,consumption,equity_return,riskfree_return\n1900,-5,1,1\n")
-        outcome = run_command(["moments", "--data", str(bad)])
-        assert outcome.exit_code == 2
-        assert "line 2" in outcome.payload
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_invalid_data_file_is_data_error(self, kind, tmp_path, monkeypatch, capsys):
+        path, fragment = UNREADABLE[kind](tmp_path)
+        code, out, err = run_main(["moments", "--data", str(path)], monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert str(path) in err and fragment in err
 
     def test_numerical_failure_is_exit_3(self, monkeypatch, capsys):
         argv = ["solve", "--data", DATA, "--tau0", "1e200"]

@@ -46,4 +46,5 @@ def test_usage_error_exits_1_without_numpy():
     )
     assert exit_code == 1
     assert "numpy" not in modules
+    assert "dataclasses" not in modules
     assert sfm_submodules(modules) == ["sfm.cli", "sfm.errors"]

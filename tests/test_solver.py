@@ -130,11 +130,10 @@ class TestSolve:
         solution = solve(bundled_moments)
         assert solution.numerical_rank <= 3
 
-    def test_non_finite_start_raises_with_last_iterate(self, bundled_moments):
+    def test_non_finite_start_raises_solver_error(self, bundled_moments):
         bad = ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=1e200)
-        with pytest.raises(SolverError) as excinfo:
+        with pytest.raises(SolverError, match="^non-finite residuals at initial point$"):
             solve(bundled_moments, SolverConfig(initial=bad))
-        assert excinfo.value.last_params == bad
 
 
 class TestTraceManifold:
