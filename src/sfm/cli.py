@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="investor reports in the published layout")
     add_data(p)
     p.add_argument("--year", type=int, required=True)
-    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_positive_float, required=True)
     p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--sfom-equity", type=_positive_float, required=True)
     p.add_argument("--sfom-riskfree", type=_positive_float, required=True)

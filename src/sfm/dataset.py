@@ -82,9 +82,10 @@ def load_series(path: str | Path) -> MarketSeries:
                 raise DataError(
                     f"{path}: line 1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num    # the record's last physical line
                 if len(row) != 4:
                     raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
                 try:

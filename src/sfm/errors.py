@@ -18,4 +18,4 @@ class SingularSubsystemError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when the solver's residuals are non-finite at its initial point."""
+    """Raised when the solver's end point leaves the float range."""

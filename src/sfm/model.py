@@ -106,16 +106,6 @@ class Residuals:
     r5: float
     norm: float
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.r2, self.r3, self.r4, self.r5])
-
-    @classmethod
-    def from_vector(cls, r: np.ndarray) -> "Residuals":
-        return cls(
-            r2=float(r[0]), r3=float(r[1]), r4=float(r[2]), r5=float(r[3]),
-            norm=float(np.linalg.norm(r)),
-        )
-
 
 _POWERS = np.arange(3.0)
 
@@ -182,7 +172,8 @@ def residual_array(m: MomentSet, log_params: np.ndarray,
 def residual_vector(m: MomentSet, p: ModelParams,
                     options: ModelOptions = DEFAULT_OPTIONS) -> Residuals:
     """Residuals of the four equations at a parameter point, with their norm."""
-    return Residuals.from_vector(residual_array(m, p.log_vector(), options))
+    r = residual_array(m, p.log_vector(), options)
+    return Residuals(*r.tolist(), math.sqrt(r @ r))
 
 
 def jacobian_array(m: MomentSet, log_params: np.ndarray,

@@ -48,6 +48,7 @@ _RESIDUAL_TOLERANCE = 1e-12
 # An accepted step this small relative to 1 + |x| stops the solve.
 _STEP_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 500
+_MAX_LOG = math.log(np.finfo(float).max)     # math.exp overflows above it
 
 # Grid values per batched manifold solve; bounds the (n, 4, 3) temporaries.
 MANIFOLD_BLOCK = 256
@@ -151,19 +152,18 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     "max-iter".
 
     Raises:
-        SolverError: if the residuals are non-finite at the initial point.
+        SolverError: naming the end point's tau, if its residual norm is not
+            finite or a factor beta, omega, delta overflows or underflows to 0.
     """
     cfg = cfg or SolverConfig()
     opts = cfg.options
     x = cfg.initial.log_vector()
     lam = _DAMPING_INIT
 
-    # Trial points may overflow. A non-finite trial has a nan or inf norm and
-    # fails the acceptance test; it is rejected, not warned about.
+    # Trial points may overflow: their nan or inf norms are compared, not warned
+    # about. A solve whose norm is not finite at its end fails the check below.
     with np.errstate(over="ignore", invalid="ignore"):
         r = residual_array(m, x, opts)
-        if not np.all(np.isfinite(r)):
-            raise SolverError("non-finite residuals at initial point")
         norm = math.sqrt(r @ r)
 
         converged = "max-iter"
@@ -206,10 +206,16 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 converged = "step"
                 break
 
+    b, w, d, tau = x.tolist()
+    left = [] if math.isfinite(norm) else ["the residual norm"]
+    left += [name for name, v in (("beta", b), ("omega", w), ("delta", d))
+             if v > _MAX_LOG or math.exp(v) == 0.0]
+    if left:
+        raise SolverError(f"solve end point at tau = {tau!r}: {', '.join(left)} left the float range")
     singular_values, rank = _jacobian_rank(m, x, opts)
     return Solution(
-        params=ModelParams.from_log(*(float(v) for v in x)),
-        residuals=Residuals.from_vector(r),
+        params=ModelParams.from_log(b, w, d, tau),
+        residuals=Residuals(*r.tolist(), norm),
         iterations=iterations,
         converged=converged,
         jacobian_singular_values=singular_values,

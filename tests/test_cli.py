@@ -27,7 +27,7 @@ from sfm import (
 from sfm.cli import main, run_command, to_json
 
 from conftest import DATA_PATH
-from helpers import PROPERTY_SETTINGS
+from helpers import END_POINT_FAILURES, PROPERTY_SETTINGS
 
 DATA = str(DATA_PATH)
 CLASSIFY_ARGV = [
@@ -125,11 +125,11 @@ class TestExitCodes:
         assert err.endswith("\n") and err.count("\n") == 1
         assert str(path) in err and fragment in err
 
-    def test_numerical_failure_is_exit_3(self, monkeypatch, capsys):
-        argv = ["solve", "--data", DATA, "--tau0", "1e200"]
-        assert run_main(argv, monkeypatch, capsys) == (
-            3, "", "non-finite residuals at initial point\n"
-        )
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("tau0", list(END_POINT_FAILURES))
+    def test_numerical_failure_is_exit_3(self, tau0, fmt, monkeypatch, capsys):
+        argv = ["solve", "--data", DATA, "--tau0", tau0, "--format", fmt]
+        assert run_main(argv, monkeypatch, capsys) == (3, "", END_POINT_FAILURES[tau0] + "\n")
 
     def test_infinite_csv_value_is_data_error(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "inf.csv"
@@ -209,6 +209,8 @@ class TestExitCodes:
         (["solve", "--data", DATA, "--delta0", "-1"], "--delta0"),
         (with_value(CLASSIFY_ARGV, "--sfom-equity", "0"), "--sfom-equity"),
         (with_value(CLASSIFY_ARGV, "--sfom-riskfree", "-1"), "--sfom-riskfree"),
+        (with_value(CLASSIFY_ARGV, "--beta", "0"), "--beta"),
+        (with_value(CLASSIFY_ARGV, "--beta", "-1"), "--beta"),
         (["manifold", "--data", DATA, "--tau-min", "0.5", "--tau-max", "2",
           "--steps", "0"], "--steps"),
         (["manifold", "--data", DATA, "--tau-min", "0.5", "--tau-max", "2",
@@ -217,7 +219,8 @@ class TestExitCodes:
             "delta0-inf", "tau0-nan", "beta-nan", "tau-inf", "sfom-equity-nan",
             "sfom-riskfree-inf", "draws-zero", "draws-negative", "draws-one", "draws-9999",
             "beta0-zero", "beta0-negative", "omega0-zero", "delta0-negative",
-            "sfom-equity-zero", "sfom-riskfree-negative", "steps-zero", "steps-huge"])
+            "sfom-equity-zero", "sfom-riskfree-negative", "beta-zero", "beta-negative",
+            "steps-zero", "steps-huge"])
     def test_bad_value_is_usage_error_on_stderr(self, argv, flag, monkeypatch, capsys):
         code, out, err = run_main(argv, monkeypatch, capsys)
         assert code == 1
@@ -505,19 +508,22 @@ class TestManifoldGolden:
 
 
 MISSING = str(Path(DATA).with_name("missing.csv"))
-# Bad values every flag is tried with: zero, negative, non-finite, huge,
-# not a number, a path that does not exist.
-FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e308", "abc", MISSING)
-# Each subcommand's flags with a valid value; sizes are small to keep runs fast.
+# Bad values every flag is tried with: zero, negative, non-finite, huge (1e6
+# and 1e80 as --tau0 end a solve outside the float range), not a number, a
+# path that does not exist.
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e6", "1e80", "1e308", "abc", MISSING)
+# Each subcommand's flags with a valid value, or a tuple of valid values to
+# draw from; sizes are small to keep runs fast.
+FORMATS = ("table", "json")
 FUZZ_COMMANDS = {
     "moments": {"--data": DATA, "--variance": "population"},
     "solve": {"--data": DATA, "--beta0": "0.95", "--omega0": "1.1", "--delta0": "0.9",
-              "--tau0": "2", "--eq3": "rederived", "--format": "json"},
+              "--tau0": "2", "--eq3": "rederived", "--format": FORMATS},
     "manifold": {"--data": DATA, "--tau-min": "0.5", "--tau-max": "5", "--steps": "7",
                  "--lnex": "lognormal"},
     "validate": {"--draws": "10000", "--seed": "7"},
     "classify": {flag: value for flag, value in zip(CLASSIFY_ARGV[1::2], CLASSIFY_ARGV[2::2])}
-    | {"--format": "json"},
+    | {"--format": FORMATS},
 }
 
 
@@ -529,7 +535,9 @@ def fuzzed_argv(draw):
     bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
     argv = [command]
     for flag, valid in flags.items():
-        argv += [flag, draw(st.sampled_from(FUZZ_VALUES)) if flag in bad else valid]
+        if flag in bad:
+            valid = FUZZ_VALUES
+        argv += [flag, valid if isinstance(valid, str) else draw(st.sampled_from(valid))]
     return argv
 
 
@@ -555,7 +563,9 @@ class TestExitCodeContract:
         assert [str(w.message) for w in caught] == []
         code = exit_info.value.code
         assert code in (0, 1, 2, 3)
-        if code == 0:
+        if code == 0 and "table" in argv:
+            assert not {"inf", "-inf", "nan"} & set(out.getvalue().split())
+        elif code == 0:
             strict_json(out.getvalue())
         else:
             assert out.getvalue() == ""

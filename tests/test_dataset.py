@@ -62,13 +62,18 @@ class TestLoadSeries:
         series = load_series(path)
         assert series.years == (1900, 1901, 1902)
 
-    def test_negative_consumption_cites_line(self, tmp_path):
+    @pytest.mark.parametrize("first,line", [
+        ("1900,100,1.0,1.0", 3),
+        # A quoted field that spans two physical lines; float strips its newline.
+        ('1900,100,"1.0\n",1.01', 4),
+    ], ids=["one-line-rows", "quoted-newline"])
+    def test_negative_consumption_cites_line(self, tmp_path, first, line):
         path = write_csv(tmp_path / "bad.csv", [
-            "1900,100,1.0,1.0",
+            first,
             "1901,-5,1.0,1.0",
             "1902,121,1.0,1.0",
         ])
-        with pytest.raises(DataError, match="line 3"):
+        with pytest.raises(DataError, match=f": line {line}: year 1901: consumption must be positive$"):
             load_series(path)
 
     @pytest.mark.parametrize("row", ["1901,110,inf,1.0", "1901,inf,1.0,1.0", "1901,110,1.0,inf"])

@@ -89,7 +89,7 @@ class TestResidualVector:
             m = random_moments(rng)
             p = random_params(rng)
             for options in ALL_OPTIONS:
-                got = residual_vector(m, p, options).vector()
+                got = residual_array(m, p.log_vector(), options)
                 expected = transcribed_residuals(m, p, options)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 

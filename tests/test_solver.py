@@ -29,6 +29,7 @@ from sfm.solver import MANIFOLD_BLOCK, _least_squares_point
 
 from helpers import (
     ALL_OPTIONS,
+    END_POINT_FAILURES,
     PROPERTY_SETTINGS,
     REF_PARAMS,
     effective_gap,
@@ -130,10 +131,12 @@ class TestSolve:
         solution = solve(bundled_moments)
         assert solution.numerical_rank <= 3
 
-    def test_non_finite_start_raises_solver_error(self, bundled_moments):
-        bad = ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=1e200)
-        with pytest.raises(SolverError, match="^non-finite residuals at initial point$"):
+    @pytest.mark.parametrize("tau0", list(END_POINT_FAILURES))
+    def test_non_finite_start_raises_solver_error(self, bundled_moments, tau0):
+        bad = ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=float(tau0))
+        with pytest.raises(SolverError) as raised:
             solve(bundled_moments, SolverConfig(initial=bad))
+        assert str(raised.value) == END_POINT_FAILURES[tau0]
 
 
 class TestTraceManifold:
