@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .dataset import GrowthSeries, MarketSeries, growth_series
 from .errors import DomainError
 
@@ -43,7 +41,7 @@ class InvestorReport:
 
 def crra_utility(c: float, tau: float) -> float:
     """(c^(1-tau) - 1) / (1-tau), continuously extended to ln(c) at tau = 1."""
-    if c <= 0:
+    if not c > 0:
         raise DomainError("consumption must be positive")
     one_m_tau = 1.0 - tau
     if abs(one_m_tau) < TAU_ONE_EPS:
@@ -52,18 +50,40 @@ def crra_utility(c: float, tau: float) -> float:
     return math.expm1(one_m_tau * math.log(c)) / one_m_tau
 
 
-def uncertain_utility(c_now: float, scenarios: Sequence[float] | np.ndarray,
+def _mean(values: Sequence[float]) -> float:
+    """np.mean(values) to the bit: numpy adds its pairwise sum to the identity 0.0."""
+    return (0.0 + _pairwise_sum(values)) / len(values)
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's pairwise summation of float64 values, addition for addition."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total, end = 0.0, 0
+    if n >= 8:
+        r = list(values[:8])            # eight strided partial sums
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[end:]:
+        total += value
+    return total
+
+
+def uncertain_utility(c_now: float, scenarios: Sequence[float],
                       beta: float, tau: float) -> float:
     """beta times the equal-weight mean of crra_utility(c_now * s) over scenarios."""
-    scenarios = np.asarray(scenarios, dtype=np.float64)
-    if scenarios.size == 0:
+    scenarios = [float(s) for s in scenarios]
+    if not scenarios:
         raise DomainError("scenario set must be non-empty")
-    if c_now <= 0:
+    if not c_now > 0:
         raise DomainError("consumption must be positive")
-    if scenarios.min() <= 0:
+    if not all(s > 0 for s in scenarios):
         raise DomainError("scenarios must be positive gross factors")
-    values = [crra_utility(c_now * float(s), tau) for s in scenarios]
-    return beta * float(np.mean(values))
+    return beta * _mean([crra_utility(c_now * s, tau) for s in scenarios])
 
 
 def classify_attitude(certain: float, uncertain: float, sfom: float) -> str:
@@ -89,17 +109,17 @@ def classify_attitude(certain: float, uncertain: float, sfom: float) -> str:
     return family
 
 
-def growth_scenarios(growth: GrowthSeries) -> np.ndarray:
+def growth_scenarios(growth: GrowthSeries) -> tuple[float, ...]:
     """Scenario generator (a): the empirical consumption growth factors."""
-    return growth.x.copy()
+    return growth.x
 
 
-def return_scenarios(growth: GrowthSeries, investor: str) -> np.ndarray:
+def return_scenarios(growth: GrowthSeries, investor: str) -> tuple[float, ...]:
     """Scenario generator (b): the investor's own historical gross returns."""
     if investor == INVESTOR_EQUITY:
-        return growth.r_e.copy()
+        return growth.r_e
     if investor == INVESTOR_RISKFREE:
-        return growth.r_f.copy()
+        return growth.r_f
     raise ValueError(f"unknown investor type {investor!r}")
 
 

@@ -6,7 +6,8 @@ JSON output is deterministic: stable key order and round-trippable float
 formatting, so identical inputs give byte-identical documents.
 
 Each handler imports the modules it runs when it runs, so a command loads
-only its own share of the package and a usage error loads no numpy.
+only its own share of the package. Handlers load the --data file before they
+import numpy or a numeric layer, so a usage or data error loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 
@@ -37,6 +39,34 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError, and reads "--tau0 -1e3" as "--tau0=-1e3".
+
+    argparse takes only -<digits>[.<digits>] for a negative number and any
+    other word that starts with "-", such as -1e3, for a flag.
+    """
+
+    def __init__(self, **kwargs):
+        self.value_flags = set()        # before super(), which adds --help
+        super().__init__(**kwargs)
+
+    def add_argument(self, *flags, **kwargs):
+        action = super().add_argument(*flags, **kwargs)
+        if action.nargs is None:        # takes one value, unlike --help
+            self.value_flags.update(flags)
+        return action
+
+    def parse_known_args(self, args, namespace=None):
+        joined = []
+        for arg in args:
+            # The word before: a flag that takes a value, or an abbreviation of one.
+            flag = joined[-1] if joined else ""
+            takes_value = flag[2:] and any(f.startswith(flag) for f in self.value_flags)
+            if takes_value and re.match(r"-\.?\d", arg):
+                joined[-1] += f"={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
@@ -137,16 +167,17 @@ def _options(args):
 
 def _load_moments(args, convention: str):
     from .dataset import growth_series, load_series
+
+    growth = growth_series(load_series(args.data))
     from .moments import estimate_moments
 
-    series = load_series(args.data)
-    return estimate_moments(growth_series(series), convention)
+    return estimate_moments(growth, convention)
 
 
 def _cmd_moments(args) -> str:
+    m = _load_moments(args, args.variance)
     from .moments import lognormality_gap
 
-    m = _load_moments(args, args.variance)
     return to_json({**vars(m), "gap": lognormality_gap(m)})
 
 
@@ -198,11 +229,11 @@ def _solve_table(solution, gap: float) -> str:
 
 
 def _cmd_solve(args) -> str:
+    m = _load_moments(args, args.variance)
     from .model import ModelParams
     from .moments import lognormality_gap
     from .solver import SolverConfig, solve
 
-    m = _load_moments(args, args.variance)
     cfg = SolverConfig(
         initial=ModelParams(args.beta0, args.omega0, args.delta0, args.tau0),
         options=_options(args),
@@ -215,12 +246,12 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_manifold(args) -> str:
+    m = _load_moments(args, args.variance)
     import numpy as np
 
     from .moments import lognormality_gap
     from .solver import trace_manifold
 
-    m = _load_moments(args, args.variance)
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
     manifold = trace_manifold(m, grid, _options(args))
     points = [
@@ -261,10 +292,11 @@ def _classify_table(reports) -> str:
 
 
 def _cmd_classify(args) -> str:
-    from .classify import build_reports
     from .dataset import load_series
 
     series = load_series(args.data)
+    from .classify import build_reports
+
     reports = build_reports(
         series, args.year, args.beta, args.tau, args.sfom_equity, args.sfom_riskfree
     )

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError
 
 CSV_HEADER = ("year", "consumption", "equity_return", "riskfree_return")
@@ -49,14 +47,14 @@ class MarketSeries:
         return self.consumption[year - first]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GrowthSeries:
-    """Paired observations: growth x_t = c_t / c_{t-1} with year-t returns."""
+    """Paired observations as four columns: growth x_t = c_t / c_{t-1} with year-t returns."""
 
-    years: np.ndarray
-    x: np.ndarray
-    r_e: np.ndarray
-    r_f: np.ndarray
+    years: tuple[int, ...]
+    x: tuple[float, ...]
+    r_e: tuple[float, ...]
+    r_f: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.years)
@@ -125,19 +123,16 @@ def growth_series(series: MarketSeries) -> GrowthSeries:
     Raises DataError naming the year when a growth factor overflows to
     infinity or underflows to zero.
     """
-    levels = np.array(series.consumption, dtype=np.float64)
-    with np.errstate(over="ignore", under="ignore"):
-        x = levels[1:] / levels[:-1]
-    bad = np.flatnonzero(~((x > 0) & (x < math.inf)))
-    if bad.size:
-        t = int(bad[0])
-        raise DataError(
-            f"year {series.years[t + 1]}: consumption growth factor {float(x[t])!r} "
-            "must be finite and positive"
-        )
+    levels = series.consumption
+    x = tuple(cur / prev for prev, cur in zip(levels, levels[1:]))
+    for year, factor in zip(series.years[1:], x):
+        if not 0 < factor < math.inf:
+            raise DataError(
+                f"year {year}: consumption growth factor {factor!r} must be finite and positive"
+            )
     return GrowthSeries(
-        years=np.array(series.years[1:], dtype=np.int64),
+        years=series.years[1:],
         x=x,
-        r_e=np.array(series.equity_return[1:], dtype=np.float64),
-        r_f=np.array(series.riskfree_return[1:], dtype=np.float64),
+        r_e=series.equity_return[1:],
+        r_f=series.riskfree_return[1:],
     )

@@ -69,12 +69,13 @@ def estimate_moments(growth: GrowthSeries, convention: str = "sample") -> Moment
         raise ValueError(f"unknown variance convention {convention!r}")
     if len(growth) < 2:
         raise DataError("need at least 2 growth observations")
-    if min(growth.x.min(), growth.r_e.min(), growth.r_f.min()) <= 0:
+    x, r_e, r_f = (np.asarray(c, dtype=np.float64) for c in (growth.x, growth.r_e, growth.r_f))
+    if min(x.min(), r_e.min(), r_f.min()) <= 0:
         raise DataError("growth factors and returns must be positive")
 
     ddof = 1 if convention == "sample" else 0
-    lx = np.log(growth.x)
-    lr = np.log(growth.r_e)
+    lx = np.log(x)
+    lr = np.log(r_e)
     var_x = float(lx.var(ddof=ddof))
     var_r = float(lr.var(ddof=ddof))
     if var_x == 0.0:
@@ -94,9 +95,9 @@ def estimate_moments(growth: GrowthSeries, convention: str = "sample") -> Moment
             mu_r=float(lr.mean()),
             sigma2_r=var_r,
             rho=rho,
-            mean_x=float(growth.x.mean()),
-            mean_re=float(growth.r_e.mean()),
-            mean_rf=float(growth.r_f.mean()),
+            mean_x=float(x.mean()),
+            mean_re=float(r_e.mean()),
+            mean_rf=float(r_f.mean()),
             n_obs=len(growth),
             convention=convention,
         )

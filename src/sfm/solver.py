@@ -234,7 +234,8 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
     columns of the returned Manifold.
 
     Raises:
-        SingularSubsystemError: naming the first grid point where k = 0.
+        SingularSubsystemError: naming the first grid point where k = 0, or
+            where k is so small that the solve meets an exact zero pivot.
         OverflowError: naming the first grid point whose solution or
             residuals leave the finite range.
     """
@@ -254,7 +255,13 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
                 raise SingularSubsystemError(
                     f"subsystem in (b, w, d) is singular at tau = {tau[singular[0]]} (k = 0)"
                 )
-            v = np.linalg.solve(a[:, :3], -c[:, :3, None])
+            try:
+                v = np.linalg.solve(a[:, :3], -c[:, :3, None])
+            except np.linalg.LinAlgError:   # k != 0, but rounding left a zero pivot
+                i = np.flatnonzero(np.linalg.det(a[:, :3]) == 0.0)[0]
+                raise SingularSubsystemError(
+                    f"subsystem in (b, w, d) is singular at tau = {tau[i]} (k = {a[i, 1, 0]})"
+                ) from None
             r = np.add((a @ v)[..., 0], c, out=residuals[rows])
             f = np.exp(v[..., 0], out=factors[rows])
         finite = np.isfinite(r).all(axis=1) & np.isfinite(f).all(axis=1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sfm import (
     build_reports,
@@ -11,9 +13,11 @@ from sfm import (
     return_scenarios,
     uncertain_utility,
 )
+from sfm.classify import _mean
 from sfm.errors import DomainError
 
 from helpers import (
+    PROPERTY_SETTINGS,
     REF_BETA,
     REF_CERTAIN_UTILITY,
     REF_TAU,
@@ -65,6 +69,10 @@ class TestCrraUtility:
         with pytest.raises(DomainError):
             crra_utility(-3.0, 0.5)
 
+    def test_nan_consumption_rejected(self):
+        with pytest.raises(DomainError, match="consumption must be positive"):
+            crra_utility(math.nan, 2.0)
+
 
 class TestUncertainUtility:
     def test_degenerate_certainty(self):
@@ -94,6 +102,12 @@ class TestUncertainUtility:
         with pytest.raises(DomainError):
             uncertain_utility(1.0, [1.0, 0.0], beta=1.0, tau=1.0)
 
+    @pytest.mark.parametrize("c_now,scenarios", [(2.0, [1.0, math.nan]), (math.nan, [1.0, 1.1])],
+                             ids=["scenario", "consumption"])
+    def test_nan_rejected(self, c_now, scenarios):
+        with pytest.raises(DomainError, match="must be positive"):
+            uncertain_utility(c_now, scenarios, 0.95, 2.0)
+
     def test_published_fixtures_match_status(self, bundled_series, bundled_growth):
         # Published uncertain utilities are calibration fixtures; record which
         # scenario generator (if any) reproduces them. With the bundled
@@ -120,6 +134,31 @@ class TestUncertainUtility:
             if abs(value - fixture) <= 1e-6
         }
         assert matches == {}  # match status: none
+
+
+class TestMean:
+    # Lengths from each branch of the pairwise sum: a plain loop below 8, eight
+    # partial sums up to 128, halving above; 9,000 and 20,000 pass numpy's
+    # 8,192-element buffer. The examples sit on the branch edges.
+    @PROPERTY_SETTINGS
+    @given(n=st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 2000),
+                       st.sampled_from([9_000, 20_000])),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=7, seed=1)
+    @example(n=8, seed=1)
+    @example(n=128, seed=1)
+    @example(n=129, seed=1)
+    @example(n=8_193, seed=1)
+    def test_equals_np_mean_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes over 16 decades, so the order of additions shows in the result.
+        values = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+        assert _mean(values).hex() == float(np.mean(values)).hex()
+
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    def test_negative_zeros_mean_to_positive_zero(self, n):
+        values = [-0.0] * n
+        assert _mean(values).hex() == float(np.mean(values)).hex() == "0x0.0p+0"
 
 
 class TestReturnScenarios:

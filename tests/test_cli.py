@@ -177,6 +177,34 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "moments must be finite, got mean_re = inf\n"
 
+    def test_numerically_singular_manifold_names_its_tau(self, monkeypatch, capsys):
+        # k = 2.2e-303 is not 0, but 1 +- k rounds to 1 and the solve meets a zero pivot.
+        argv = ["manifold", "--data", DATA, "--tau-min", "1e-300", "--tau-max", "1e-299",
+                "--steps", "3"]
+        assert run_main(argv, monkeypatch, capsys) == (3, "", (
+            "subsystem in (b, w, d) is singular at tau = 1e-300 (k = 2.2214182915624608e-303)\n"
+        ))
+
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "--data", DATA, "--tau0", "-1e300"], 3),
+        (["solve", "--data", DATA, "--tau0", "-2.5E-1", "--format", "json"], 0),
+        (["manifold", "--data", DATA, "--tau-min", "-1e3", "--tau-max", "1", "--steps", "3"], 0),
+        (["manifold", "--data", DATA, "--tau-mi", "-1e3", "--tau-max", "1", "--steps", "3"], 0),
+        (["manifold", "--data", DATA, "--tau-m", "-1e3", "--tau-max", "1", "--steps", "3"], 1),
+        (with_value(CLASSIFY_ARGV, "--tau", "-1e-3"), 0),
+        (["solve", "--data", DATA, "--tau0", "-.5e1"], 0),
+        (["solve", "--data", DATA, "--beta0", "-1e-3"], 1),
+        (["solve", "--data", DATA, "--tau0", "-1e3x"], 1),
+    ], ids=["tau0", "tau0-upper-e", "tau-min", "tau-min-abbreviated", "tau-min-ambiguous", "tau",
+            "tau0-no-leading-digit", "beta0", "tau0-not-a-number"])
+    def test_negative_value_in_exponent_form_reads_as_with_equals(self, argv, code,
+                                                                   monkeypatch, capsys):
+        i = next(i for i, arg in enumerate(argv) if arg.startswith("-") and arg[1:2] != "-")
+        joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+        spaced = run_main(argv, monkeypatch, capsys)
+        assert spaced[0] == code
+        assert spaced == run_main(joined, monkeypatch, capsys)
+
     def test_help_is_exit_0(self, monkeypatch, capsys):
         code, out, err = run_main(["--help"], monkeypatch, capsys)
         assert (code, err) == (0, "")
@@ -505,6 +533,21 @@ class TestManifoldGolden:
         payload = run_ok(["manifold", "--data", DATA, "--variance", variance, "--eq3", eq3,
                           "--lnex", lnex, "--tau-min", "0.5", "--tau-max", "5", "--steps", "21"])
         assert payload == to_json(GOLDEN_MANIFOLD[setting])
+
+
+GOLDEN_CLASSIFY = json.loads(
+    (Path(__file__).parent / "data" / "classify_golden.json").read_text()
+)
+
+
+class TestClassifyGolden:
+    # Each case holds its argv and the table and JSON payloads, byte for byte.
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CLASSIFY))
+    def test_output_bytes_match_golden(self, case, fmt):
+        golden = GOLDEN_CLASSIFY[case]
+        payload = run_ok(["classify", "--data", DATA, *golden["argv"], "--format", fmt])
+        assert payload == golden[fmt]
 
 
 MISSING = str(Path(DATA).with_name("missing.csv"))

@@ -228,7 +228,7 @@ class TestColumnsProperty:
         assert (series.equity_return, series.riskfree_return) == (tuple(r_e), tuple(r_f))
 
         levels = np.array(c)
-        assert growth_series(series).x.tobytes() == (levels[1:] / levels[:-1]).tobytes()
+        assert np.asarray(growth_series(series).x).tobytes() == (levels[1:] / levels[:-1]).tobytes()
 
         for year, level in zip(years, c):
             assert series.consumption_of(year) == level

@@ -4,9 +4,41 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import DATA_PATH
 
 DATA = str(DATA_PATH)
+MISSING = str(DATA_PATH.with_name("missing.csv"))
+CLASSIFY_FLAGS = ["--year", "1977", "--beta", "0.9581", "--tau", "1.0319",
+                  "--sfom-equity", "1.0013", "--sfom-riskfree", "1.0657"]
+MANIFOLD_FLAGS = ["--tau-min", "1", "--tau-max", "2", "--steps", "3"]
+SOLVER = ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.model", "sfm.moments", "sfm.solver"]
+LOADER = ["sfm.cli", "sfm.dataset", "sfm.errors"]
+# Modules that take long to import; each row names those its command loads.
+HEAVY = ("dataclasses", "numpy")
+
+# sfm argv (None: only ``import sfm``) -> (exit code, sfm submodules, heavy modules loaded).
+CONTRACT = {
+    "import-sfm": (None, None, [], []),
+    "moments": (["moments", "--data", DATA], 0,
+                ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.moments"], HEAVY),
+    "solve": (["solve", "--data", DATA], 0, SOLVER, HEAVY),
+    "manifold": (["manifold", "--data", DATA, *MANIFOLD_FLAGS], 0, SOLVER, HEAVY),
+    "validate": (["validate", "--draws", "10000"], 0,
+                 ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.mc", "sfm.model", "sfm.moments"],
+                 HEAVY),
+    "classify": (["classify", "--data", DATA, *CLASSIFY_FLAGS], 0,
+                 ["sfm.classify", *LOADER], ["dataclasses"]),
+    "usage-error": (["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2",
+                     "--steps", "0"], 1, ["sfm.cli", "sfm.errors"], []),
+    "moments-missing-data": (["moments", "--data", MISSING], 2, LOADER, ["dataclasses"]),
+    "solve-missing-data": (["solve", "--data", MISSING], 2, LOADER, ["dataclasses"]),
+    "manifold-missing-data": (["manifold", "--data", MISSING, *MANIFOLD_FLAGS], 2,
+                              LOADER, ["dataclasses"]),
+    "classify-missing-data": (["classify", "--data", MISSING, *CLASSIFY_FLAGS], 2,
+                              LOADER, ["dataclasses"]),
+}
 
 
 def loaded_by(code: str):
@@ -18,33 +50,16 @@ def loaded_by(code: str):
     return set(modules), result
 
 
-def sfm_submodules(modules):
-    return sorted(m for m in modules if m.startswith("sfm."))
-
-
-def test_import_sfm_loads_no_submodule():
-    modules, _ = loaded_by("import sfm")
-    assert "sfm" in modules
-    assert sfm_submodules(modules) == []
-
-
-def test_moments_loads_neither_mc_solver_nor_classify():
-    modules, exit_code = loaded_by(
-        "from sfm.cli import run_command\n"
-        f"result = run_command(['moments', '--data', {DATA!r}]).exit_code"
-    )
-    assert exit_code == 0
-    assert sfm_submodules(modules) == ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.moments"]
-
-
-def test_usage_error_exits_1_without_numpy():
-    modules, exit_code = loaded_by(
-        "from sfm.cli import main\n"
-        f"sys.argv = ['sfm', 'manifold', '--data', {DATA!r}, "
-        "'--tau-min', '1', '--tau-max', '2', '--steps', '0']\n"
-        "try:\n    main()\nexcept SystemExit as exc:\n    result = exc.code"
-    )
-    assert exit_code == 1
-    assert "numpy" not in modules
-    assert "dataclasses" not in modules
-    assert sfm_submodules(modules) == ["sfm.cli", "sfm.errors"]
+@pytest.mark.parametrize("row", list(CONTRACT))
+def test_command_loads_only_its_modules(row):
+    argv, exit_code, submodules, heavy = CONTRACT[row]
+    if argv is None:
+        code = "import sfm"
+    else:
+        # The console entry point, as ``sfm <argv>`` runs it.
+        code = (f"from sfm.cli import main\nsys.argv = ['sfm', *{argv!r}]\n"
+                "try:\n    main()\nexcept SystemExit as exc:\n    result = exc.code")
+    modules, result = loaded_by(code)
+    assert result == exit_code
+    assert sorted(m for m in modules if m.startswith("sfm.")) == submodules
+    assert [m for m in HEAVY if m in modules] == list(heavy)
