@@ -40,9 +40,15 @@ class InvestorReport:
 
 
 def crra_utility(c: float, tau: float) -> float:
-    """(c^(1-tau) - 1) / (1-tau), continuously extended to ln(c) at tau = 1."""
+    """(c^(1-tau) - 1) / (1-tau), continuously extended to ln(c) at tau = 1.
+
+    Raises:
+        DomainError: if c <= 0 or tau is not a finite number.
+    """
     if not c > 0:
         raise DomainError("consumption must be positive")
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be a finite number, got {tau}")
     one_m_tau = 1.0 - tau
     if abs(one_m_tau) < TAU_ONE_EPS:
         return math.log(c)
@@ -75,7 +81,12 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 
 def uncertain_utility(c_now: float, scenarios: Sequence[float],
                       beta: float, tau: float) -> float:
-    """beta times the equal-weight mean of crra_utility(c_now * s) over scenarios."""
+    """beta times the equal-weight mean of crra_utility(c_now * s) over scenarios.
+
+    Raises:
+        DomainError: for an empty or non-positive scenario set, c_now <= 0, or
+            a beta or tau that is not a finite number.
+    """
     scenarios = [float(s) for s in scenarios]
     if not scenarios:
         raise DomainError("scenario set must be non-empty")
@@ -83,6 +94,8 @@ def uncertain_utility(c_now: float, scenarios: Sequence[float],
         raise DomainError("consumption must be positive")
     if not all(s > 0 for s in scenarios):
         raise DomainError("scenarios must be positive gross factors")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be a finite number, got {beta}")
     return beta * _mean([crra_utility(c_now * s, tau) for s in scenarios])
 
 

@@ -344,6 +344,10 @@ def run_command(argv) -> CommandOutcome:
 
 
 def main() -> None:
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):      # a closed stdout ends sfm as it ends head or cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     outcome = run_command(sys.argv[1:])
     if outcome.payload:
         stream = sys.stdout if outcome.exit_code == 0 else sys.stderr

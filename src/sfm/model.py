@@ -26,6 +26,8 @@ residuals, the manifold's 3x3 solves and the Jacobian [A | dA/dtau @ v + dc/dtau
 all follow from the table, whose tau derivative is the same table weighed by
 (0, 1, 2*tau). ``residual_array`` and ``jacobian_array`` evaluate it at one tau
 with the same products as ``affine_system``, so r and A agree bit for bit.
+The solver calls their two private helpers, ``_evaluate`` and
+``_jacobian_from``, with a table it looked up once.
 
 The combination r2 + r4 - r5 = X - mu_x - sigma2_x/2 holds for every
 parameter vector, so the Jacobian has rank <= 3 everywhere: the system
@@ -52,7 +54,7 @@ LNEX_MODES = ("arithmetic", "lognormal_implied")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The four unknowns; beta, omega, delta must be positive (logs exist)."""
+    """The four unknowns, all finite; beta, omega, delta must be positive (logs exist)."""
 
     beta: float
     omega: float
@@ -60,6 +62,9 @@ class ModelParams:
     tau: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite number, got {value}")
         if min(self.beta, self.omega, self.delta) <= 0:
             raise DomainError("beta, omega, delta must be strictly positive")
 
@@ -160,13 +165,24 @@ def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
     return ac[..., :3], ac[..., 3]
 
 
+def _evaluate(table: np.ndarray, x: np.ndarray):
+    """[A | c] at x's tau and r = A @ v + c at x: affine_system's products at one tau."""
+    ac = (x[3] ** _POWERS @ table).reshape(4, 4)
+    return ac, ac[:, :3] @ x[:3] + ac[:, 3]
+
+
+def _jacobian_from(table: np.ndarray, x: np.ndarray, ac: np.ndarray) -> np.ndarray:
+    """The Jacobian at x from [A | c] at x's tau; overwrites c with dr/dtau in place."""
+    # d/dtau (1, tau, tau^2) = (0, 1, 2*tau) weighs the same table into [dA/dtau | dc/dtau].
+    d_ac = (np.array((0.0, 1.0, 2.0 * x[3])) @ table).reshape(4, 4)
+    ac[:, 3] = d_ac[:, :3] @ x[:3] + d_ac[:, 3]
+    return ac
+
+
 def residual_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Residuals (r2, r3, r4, r5) at a log-space parameter vector (b, w, d, tau)."""
-    x = np.asarray(log_params, dtype=float)
-    # affine_system's products at one tau, without its batching.
-    ac = (x[3] ** _POWERS @ _table(m, options)).reshape(4, 4)
-    return ac[:, :3] @ x[:3] + ac[:, 3]
+    return _evaluate(_table(m, options), np.asarray(log_params, dtype=float))[1]
 
 
 def residual_vector(m: MomentSet, p: ModelParams,
@@ -181,11 +197,7 @@ def jacobian_array(m: MomentSet, log_params: np.ndarray,
     """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
     x = np.asarray(log_params, dtype=float)
     table = _table(m, options)
-    jac = (x[3] ** _POWERS @ table).reshape(4, 4)
-    # d/dtau (1, tau, tau^2) = (0, 1, 2*tau) weighs the same table into [dA/dtau | dc/dtau].
-    d_ac = (np.array((0.0, 1.0, 2.0 * x[3])) @ table).reshape(4, 4)
-    jac[:, 3] = d_ac[:, :3] @ x[:3] + d_ac[:, 3]     # overwrites c with dr/dtau
-    return jac
+    return _jacobian_from(table, x, _evaluate(table, x)[0])
 
 
 def jacobian(m: MomentSet, p: ModelParams,

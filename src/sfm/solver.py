@@ -4,8 +4,11 @@ The Jacobian of the residual system has rank <= 3 at every point (the rows
 satisfy row2 + row4 - row5 = 0 identically), so undamped Newton is undefined
 and the "solution" of the four equations is a one-parameter family at best.
 Levenberg-style damping on the normal equations keeps every step finite and
-guarantees monotone residual norms. For fixed tau the residuals are linear
-in (b, w, d), which gives two useful exact tools:
+guarantees monotone residual norms. A solve evaluates its trial points from
+one lookup of the model's coefficient table, one product per point for its
+[A | c] and residuals, and an accepted trial's [A | c] becomes the next
+Jacobian's first three columns. For fixed tau the residuals are linear in
+(b, w, d), which gives two useful exact tools:
 
 * the least-squares floor: with r5 = r2 + r4 - gap forced by the structural
   identity and (r2, r3, r4) freely reachable, the optimal residual vector is
@@ -30,6 +33,9 @@ from .model import (
     ModelOptions,
     ModelParams,
     Residuals,
+    _evaluate,
+    _jacobian_from,
+    _table,
     affine_system,
     euler_gap,
     jacobian_array,
@@ -147,6 +153,9 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     """Minimize the residual norm by Levenberg-damped least squares.
 
     Deterministic given (m, cfg): no randomness, fixed iteration order.
+    Every point after the start is evaluated from one lookup of the
+    coefficient table, and an accepted trial's [A | c] becomes the next
+    Jacobian's first three columns, with the bits of evaluating it afresh.
     Convergence reasons: "residual" (norm below tolerance), "step" (no
     accepted step above the step tolerance, including damping exhaustion),
     "max-iter".
@@ -157,13 +166,14 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     """
     cfg = cfg or SolverConfig()
     opts = cfg.options
+    table = _table(m, opts)
     x = cfg.initial.log_vector()
     lam = _DAMPING_INIT
 
     # Trial points may overflow: their nan or inf norms are compared, not warned
     # about. A solve whose norm is not finite at its end fails the check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        r = residual_array(m, x, opts)
+        r, jac = residual_array(m, x, opts), jacobian_array(m, x, opts)
         norm = math.sqrt(r @ r)
 
         converged = "max-iter"
@@ -174,7 +184,6 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 iterations -= 1
                 break
 
-            jac = jacobian_array(m, x, opts)
             neg_grad = -(jac.T @ r)
             damped = jac.T @ jac
             diagonal = damped.ravel()[::5]      # a writable view of the diagonal
@@ -189,7 +198,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                r_new = residual_array(m, x_new, opts)
+                ac, r_new = _evaluate(table, x_new)
                 norm_new = math.sqrt(r_new @ r_new)
                 if norm_new <= norm:
                     accepted = True
@@ -205,6 +214,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
             if math.sqrt(step @ step) <= _STEP_TOLERANCE * (1.0 + math.sqrt(x @ x)):
                 converged = "step"
                 break
+            jac = _jacobian_from(table, x, ac)
 
     b, w, d, tau = x.tolist()
     left = [] if math.isfinite(norm) else ["the residual norm"]

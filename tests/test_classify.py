@@ -73,6 +73,12 @@ class TestCrraUtility:
         with pytest.raises(DomainError, match="consumption must be positive"):
             crra_utility(math.nan, 2.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        # crra_utility(2.0, nan) and crra_utility(0.5, inf) would be NaN.
+        with pytest.raises(DomainError, match=f"tau must be a finite number, got {tau}"):
+            crra_utility(2.0, tau)
+
 
 class TestUncertainUtility:
     def test_degenerate_certainty(self):
@@ -107,6 +113,13 @@ class TestUncertainUtility:
     def test_nan_rejected(self, c_now, scenarios):
         with pytest.raises(DomainError, match="must be positive"):
             uncertain_utility(c_now, scenarios, 0.95, 2.0)
+
+    @pytest.mark.parametrize("name", ["beta", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_beta_or_tau_rejected(self, name, value):
+        args = {"beta": 0.95, "tau": 2.0, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value}"):
+            uncertain_utility(2.0, [1.0, 1.1], **args)
 
     def test_published_fixtures_match_status(self, bundled_series, bundled_growth):
         # Published uncertain utilities are calibration fixtures; record which

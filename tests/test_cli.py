@@ -4,6 +4,7 @@ import gzip
 import io
 import json
 import math
+import signal
 import subprocess
 import sys
 import warnings
@@ -501,6 +502,20 @@ class TestStreamContract:
         assert proc.returncode == 0
         assert proc.stderr == ""
         json.loads(proc.stdout)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_closed_stdout_ends_the_process_by_sigpipe(self):
+        # Read one line of a 2,000-point manifold, then close the pipe, as `| head -1` does.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sfm.cli", "manifold", "--data", DATA,
+             "--tau-min", "-1e3", "--tau-max", "1", "--steps", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert stderr == b""
 
     def test_end_to_end_byte_identical(self):
         a = self.run_process(["solve", "--data", DATA, "--format", "json"])

@@ -152,6 +152,14 @@ class TestResidualVector:
         with pytest.raises(DomainError):
             ModelParams(beta=0.9, omega=0.0, delta=1.0, tau=1.0)
 
+    @pytest.mark.parametrize("name", ["beta", "omega", "delta", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_require_finite_fields(self, name, value):
+        # min(nan, ...) <= 0 is False: without its own check a NaN field passed.
+        fields = {"beta": 0.99, "omega": 1.0, "delta": 1.0, "tau": 2.0, name: value}
+        with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value}"):
+            ModelParams(**fields)
+
 
 class TestJacobian:
     def test_row_identity_componentwise(self):

@@ -1,4 +1,7 @@
+import json
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from sfm import (
     SingularSubsystemError,
     SolverConfig,
     SolverError,
+    estimate_moments,
     lognormality_gap,
     rank_diagnostics,
     residual_floor,
@@ -23,8 +27,8 @@ from sfm import (
     trace_manifold,
 )
 
-from sfm import solver
-from sfm.model import affine_system
+from sfm import model, solver
+from sfm.model import affine_system, jacobian_array, residual_array
 from sfm.solver import MANIFOLD_BLOCK, _least_squares_point
 
 from helpers import (
@@ -116,6 +120,31 @@ class TestSolve:
         bound = 1e-9 * cond * max(1.0, np.abs(v_star).max())
         assert np.abs(x[:3] - v_star).max() <= bound
 
+    @PROPERTY_SETTINGS
+    @given(m=moment_sets(), options=st.sampled_from(ALL_OPTIONS), start=log_points)
+    def test_reused_evaluations_equal_the_public_ones_bitwise(self, m, options, start):
+        # At every point a solve evaluates from its one table lookup, r equals
+        # residual_array and a Jacobian built from the accepted trial's [A | c]
+        # equals jacobian_array, byte for byte.
+        points, jacobians = [], []
+
+        def evaluate(table, x):
+            ac, r = model._evaluate(table, x)
+            assert r.tobytes() == residual_array(m, x, options).tobytes()
+            points.append(x)
+            return ac, r
+
+        def jacobian_from(table, x, ac):
+            jac = model._jacobian_from(table, x, ac)
+            assert jac.tobytes() == jacobian_array(m, x, options).tobytes()
+            jacobians.append(x)
+            return jac
+
+        with mock.patch.object(solver, "_evaluate", evaluate), \
+                mock.patch.object(solver, "_jacobian_from", jacobian_from):
+            solve(m, SolverConfig(initial=ModelParams.from_log(*start), options=options))
+        assert points and jacobians
+
     def test_deterministic_bit_identical(self, bundled_moments):
         a = solve(bundled_moments)
         b = solve(bundled_moments)
@@ -137,6 +166,35 @@ class TestSolve:
         with pytest.raises(SolverError) as raised:
             solve(bundled_moments, SolverConfig(initial=bad))
         assert str(raised.value) == END_POINT_FAILURES[tau0]
+
+
+GOLDEN_STARTS = json.loads(
+    (Path(__file__).parent / "data" / "solve_starts_golden.json").read_text()
+)
+
+
+def start_outcome(m, options, initial):
+    """The repr of a solve from ``initial`` and of its end point's RankReport,
+    or the text of its SolverError."""
+    config = SolverConfig(initial=ModelParams(*initial), options=options)
+    try:
+        solution = solve(m, config)
+    except SolverError as exc:
+        return {"initial": initial, "error": str(exc)}
+    return {"initial": initial, "solution": repr(solution),
+            "rank": repr(rank_diagnostics(m, solution.params, options))}
+
+
+class TestSolveStartsGolden:
+    # Per variance/eq3/lnEx setting: tau0 in (0.5, 1, 2, 4) from the canonical
+    # factors, four seeded random starts and tau0 = 1e6, which ends in a SolverError.
+    @pytest.mark.parametrize("setting", sorted(GOLDEN_STARTS))
+    def test_every_start_matches_golden(self, bundled_growth, setting):
+        variance, eq3, lnex = setting.split("/")
+        m = estimate_moments(bundled_growth, variance)
+        options = ModelOptions(eq3_variant=eq3, lnex_mode=lnex)
+        for case in GOLDEN_STARTS[setting]:
+            assert start_outcome(m, options, case["initial"]) == case
 
 
 class TestTraceManifold:
