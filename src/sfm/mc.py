@@ -8,8 +8,11 @@ serves any number of (spec, powers) groups: each chunk is drawn once and
 walked in cache-sized blocks, and every group accumulates sums of its
 values shifted by their first-block means. A group keeps the logs
 ln x = mu_x + sigma_x zx and ln y it exponentiates, and forms each power
-as x^a = exp(a ln x), one ``exp`` per column. The centred moments and their
-standard errors follow from those sums in closed form.
+as x^a = exp(a ln x), one ``exp`` per column. An exponent of 1 reuses the
+group's shifted x or y and their sums, which equal that column bit for bit,
+and a power with an exponent of 0 is skipped: the shifted sums of a constant
+column are exact zeros. The centred moments and their standard errors follow
+from those sums in closed form.
 """
 
 from __future__ import annotations
@@ -142,6 +145,20 @@ def _dot(p: np.ndarray, q: np.ndarray):
     return np.einsum("i,i->", p, q)
 
 
+def _column(w: np.ndarray, sums, lw: np.ndarray, e: float, out: np.ndarray,
+            row: np.ndarray, k: int, first: bool):
+    """The shifted column w^e = exp(e ln w) and its (sum, sum of squares).
+
+    For e == 1 that is w itself with its marginal sums, bit for bit: exp(1.0 l)
+    is exp(l), and both are shifted by the same first-block mean.
+    """
+    if e == 1.0:
+        return w, sums
+    np.exp(np.multiply(lw, e, out=out), out=out)
+    _shift(out, row, k, first)
+    return out, (out.sum(), _dot(out, out))
+
+
 def _blocks(n: int, seed: int):
     """Yield the stream's normals (zx, z_perp) as views of cache-sized blocks."""
     zx, z_perp = np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n))
@@ -162,7 +179,11 @@ def _accumulate(groups, n: int, seed: int) -> list[SampleSummary]:
     Per group the marginal rows hold (shift, sum w', sum w'^2) for w = x, y;
     each power row holds (c_u, c_v, sum u', sum v', sum u'v', sum u'^2,
     sum v'^2, sum u'^2 v', sum u' v'^2, sum u'^2 v'^2) for u = x^a, v = y^b,
-    formed as exp(a ln x) and exp(b ln y).
+    formed as exp(a ln x) and exp(b ln y). For a == 1, u is the shifted x and
+    sum u', sum u'^2 are x's block sums, so c_u stays 0 (the shift is x's);
+    likewise v and c_v for b == 1. A power with a == 0 or b == 0 (-0.0
+    included) is skipped and its row stays all zeros: a constant column
+    shifted by its mean sums to exact zeros too. ``_summary`` reads no c_u, c_v.
     """
     if n < 2:
         raise ValueError("need at least 2 draws")
@@ -171,20 +192,21 @@ def _accumulate(groups, n: int, seed: int) -> list[SampleSummary]:
     crosses = [np.zeros((len(powers), 10)) for _, powers in groups]
     for block, (zx, z_perp) in enumerate(_blocks(n, seed)):
         first = block == 0
-        lx, ly, x, y, u, v, p = (w[:len(zx)] for w in buffers)
+        lx, ly, x, y, u_out, v_out, p = (w[:len(zx)] for w in buffers)
         for (spec, powers), marginal, cross in zip(groups, marginals, crosses):
             _pair(spec, zx, z_perp, lx, ly, x, y)
-            for (a, b), row in zip(powers, cross):
-                np.exp(np.multiply(lx, a, out=u), out=u)
-                np.exp(np.multiply(ly, b, out=v), out=v)
-                _shift(u, row, 0, first)
-                _shift(v, row, 1, first)
-                np.multiply(u, v, out=p)
-                row[2:] += (u.sum(), v.sum(), p.sum(), _dot(u, u), _dot(v, v),
-                            _dot(u, p), _dot(v, p), _dot(p, p))
             for w, row in zip((x, y), marginal):
                 _shift(w, row, 0, first)
-                row[1:] += (w.sum(), _dot(w, w))
+            sums = [(w.sum(), _dot(w, w)) for w in (x, y)]
+            marginal[:, 1:] += sums
+            for (a, b), row in zip(powers, cross):
+                if a == 0.0 or b == 0.0:
+                    continue
+                u, (s_u, ss_u) = _column(x, sums[0], lx, a, u_out, row, 0, first)
+                v, (s_v, ss_v) = _column(y, sums[1], ly, b, v_out, row, 1, first)
+                np.multiply(u, v, out=p)
+                row[2:] += (s_u, s_v, p.sum(), ss_u, ss_v,
+                            _dot(u, p), _dot(v, p), _dot(p, p))
     return [_summary(n, seed, powers, marginal, cross)
             for (_, powers), marginal, cross in zip(groups, marginals, crosses)]
 

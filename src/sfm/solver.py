@@ -6,8 +6,9 @@ and the "solution" of the four equations is a one-parameter family at best.
 Levenberg-style damping on the normal equations keeps every step finite and
 guarantees monotone residual norms. A solve evaluates its trial points from
 one lookup of the model's coefficient table, one product per point for its
-[A | c] and residuals, and an accepted trial's [A | c] becomes the next
-Jacobian's first three columns. For fixed tau the residuals are linear in
+[A | c] and residuals, and an accepted trial's [A | c] becomes the first
+three columns of the Jacobian that the next iteration, or the end point's
+rank report, uses. For fixed tau the residuals are linear in
 (b, w, d), which gives two useful exact tools:
 
 * the least-squares floor: with r5 = r2 + r4 - gap forced by the structural
@@ -143,9 +144,9 @@ class RankReport:
     euler_gap: float
 
 
-def _jacobian_rank(m: MomentSet, x: np.ndarray, options: ModelOptions):
-    """The Jacobian's singular values at log-point x, and its numerical rank."""
-    sv = np.linalg.svd(jacobian_array(m, x, options), compute_uv=False)
+def _jacobian_rank(jac: np.ndarray):
+    """A Jacobian's singular values and its numerical rank."""
+    sv = np.linalg.svd(jac, compute_uv=False)
     return tuple(sv.tolist()), int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
@@ -154,8 +155,10 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
 
     Deterministic given (m, cfg): no randomness, fixed iteration order.
     Every point after the start is evaluated from one lookup of the
-    coefficient table, and an accepted trial's [A | c] becomes the next
-    Jacobian's first three columns, with the bits of evaluating it afresh.
+    coefficient table, and an accepted trial's [A | c] becomes the first
+    three columns of its Jacobian, with the bits of evaluating it afresh. A
+    Jacobian is built only when an iteration or the end point's singular
+    values use it.
     Convergence reasons: "residual" (norm below tolerance), "step" (no
     accepted step above the step tolerance, including damping exhaustion),
     "max-iter".
@@ -183,6 +186,8 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 converged = "residual"
                 iterations -= 1
                 break
+            if jac is None:
+                jac = _jacobian_from(table, x, ac)
 
             neg_grad = -(jac.T @ r)
             damped = jac.T @ jac
@@ -198,7 +203,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                ac, r_new = _evaluate(table, x_new)
+                ac_new, r_new = _evaluate(table, x_new)
                 norm_new = math.sqrt(r_new @ r_new)
                 if norm_new <= norm:
                     accepted = True
@@ -209,12 +214,11 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 converged = "step"
                 break
 
-            x, r, norm = x_new, r_new, norm_new
+            x, ac, r, norm, jac = x_new, ac_new, r_new, norm_new, None
             lam = max(lam * 0.3, _DAMPING_MIN)
             if math.sqrt(step @ step) <= _STEP_TOLERANCE * (1.0 + math.sqrt(x @ x)):
                 converged = "step"
                 break
-            jac = _jacobian_from(table, x, ac)
 
     b, w, d, tau = x.tolist()
     left = [] if math.isfinite(norm) else ["the residual norm"]
@@ -222,7 +226,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
              if v > _MAX_LOG or math.exp(v) == 0.0]
     if left:
         raise SolverError(f"solve end point at tau = {tau!r}: {', '.join(left)} left the float range")
-    singular_values, rank = _jacobian_rank(m, x, opts)
+    singular_values, rank = _jacobian_rank(_jacobian_from(table, x, ac) if jac is None else jac)
     return Solution(
         params=ModelParams.from_log(b, w, d, tau),
         residuals=Residuals(*r.tolist(), norm),
@@ -306,7 +310,7 @@ def residual_floor(m: MomentSet, options: ModelOptions = DEFAULT_OPTIONS) -> flo
 def rank_diagnostics(m: MomentSet, p: ModelParams,
                      options: ModelOptions = DEFAULT_OPTIONS) -> RankReport:
     """Aggregate the degeneracy diagnostics at a parameter point (pure data)."""
-    singular_values, rank = _jacobian_rank(m, p.log_vector(), options)
+    singular_values, rank = _jacobian_rank(jacobian_array(m, p.log_vector(), options))
     return RankReport(
         singular_values=singular_values,
         numerical_rank=rank,

@@ -229,6 +229,32 @@ def test_criterion_5_needs_k_beyond_any_correlation(bundled_moments, eq3, f_sign
     assert k_needed > 7 * k_max
 
 
+def test_criterion_5_readme_figures(bundled_growth):
+    """The README's measured figures for criterion 5, to the digits it prints.
+
+    The best direct-match deviation over the 8 settings (~0.76), and the
+    published point's distance from the manifold on criterion 5's grid under
+    each eq3 variant. Criterion 5 itself asserts its own tolerance.
+    """
+    ref = REF_PARAMS
+    deviations = []
+    for conv, lnex, eq3 in ALL_SETTINGS:
+        m = estimate_moments(bundled_growth, conv)
+        p = solve(m, SolverConfig(options=ModelOptions(eq3_variant=eq3, lnex_mode=lnex))).params
+        deviations.append(max(abs(p.beta - ref.beta), abs(p.omega - ref.omega),
+                              abs(p.delta - ref.delta), abs(p.tau - ref.tau)))
+    assert min(deviations) == pytest.approx(0.7568, abs=5e-5)
+
+    m = estimate_moments(bundled_growth, "sample")
+    ref_log = np.array([ref.b, ref.w, ref.d, ref.tau])
+    grid = np.arange(0.05, 8.0001, 0.0025)
+    for eq3, figure in (("printed", 0.9878), ("rederived", 0.9602)):
+        manifold = trace_manifold(m, grid, ModelOptions(eq3_variant=eq3))
+        points = np.column_stack([np.log(manifold.factors), manifold.tau])
+        distance = float(np.min(np.linalg.norm(points - ref_log, axis=1)))
+        assert distance == pytest.approx(figure, abs=5e-5), eq3
+
+
 def test_criterion_6_monte_carlo_identities():
     """Full lognormal identity battery at 1e6 draws, everything within 4 SE."""
     from sfm import validate_identities

@@ -140,6 +140,8 @@ class TestUncertainUtility:
         assert by_generator["equity-returns"] == pytest.approx(6.889972754907052, rel=1e-9)
         assert by_generator["riskfree-returns"] == pytest.approx(6.853881770161491, rel=1e-9)
         assert by_generator["consumption-growth"] == pytest.approx(6.862121359584085, rel=1e-9)
+        # The README's figures, to the 4 digits it prints.
+        assert [round(value, 4) for value in by_generator.values()] == [6.8900, 6.8539, 6.8621]
         matches = {
             name: fixture
             for name, value in by_generator.items()

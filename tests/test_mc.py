@@ -99,21 +99,34 @@ class TestSamplePairs:
         assert a == b
 
     def test_chunked_accumulation_matches_direct_numpy(self):
-        # Spans multiple chunks; the one-pass sums must agree with a direct
-        # two-pass computation over the concatenated stream.
+        # Spans two chunks and ends on a short block; the one-pass sums must
+        # agree with a direct two-pass computation over the concatenated
+        # stream. Unit exponents reuse the marginal x and y and zero exponents
+        # skip the power, so both appear beside exponents with their own columns.
         spec = BivariateLogNormalSpec(0.01, 0.05, 0.03, 0.2, -0.3)
-        powers = ((-1.0, 2.0), (-4.4, 1.0), (0.5, 1.5))
-        n = 700_000  # > one chunk
-        assert_agrees(sample_pairs(spec, n, seed=5, powers=powers),
-                      two_pass_summary(spec, n, 5, powers))
+        powers = ((-1.0, 2.0), (-4.4, 1.0), (0.5, 1.5), (1.0, -2.0), (1.0, 1.0),
+                  (0.0, 1.5), (-3.0, 0.0), (-0.0, 1.0), (1.0, 0.0))
+        n = 700_000  # one full chunk, then 10 full blocks and a short one
+        got = sample_pairs(spec, n, seed=5, powers=powers)
+        assert_agrees(got, two_pass_summary(spec, n, 5, powers))
+        for est in got.power_covs[5:]:
+            assert (est.value, est.std_error) == (0.0, 0.0)
 
     def test_high_mean_spec_matches_direct_numpy(self):
         # Means 50x the spread: sums of unshifted values would cancel.
         spec = BivariateLogNormalSpec(4.0, 0.02, 4.0, 0.02, 0.3)
-        powers = ((1.0, 1.0), (2.0, -1.0))
+        powers = ((1.0, 1.0), (2.0, -1.0), (1.0, 3.0), (-2.0, 1.0), (0.0, 2.0))
         n = 700_000
-        assert_agrees(sample_pairs(spec, n, seed=8, powers=powers),
-                      two_pass_summary(spec, n, 8, powers))
+        got = sample_pairs(spec, n, seed=8, powers=powers)
+        assert_agrees(got, two_pass_summary(spec, n, 8, powers))
+        assert (got.power_covs[4].value, got.power_covs[4].std_error) == (0.0, 0.0)
+
+    def test_zero_exponent_beside_an_overflowing_one_is_exact_zero(self):
+        # A zero exponent makes a constant column, whatever the other column
+        # holds: x^1e5 overflows here, and the covariance is still exactly 0.
+        spec = BivariateLogNormalSpec(0.02, 0.04, 0.05, 0.15, 0.4)
+        summary = sample_pairs(spec, 1_000, seed=1, powers=((1e5, 0.0), (0.0, -1e5)))
+        assert [(c.value, c.std_error) for c in summary.power_covs] == [(0.0, 0.0)] * 2
 
     @settings(max_examples=6, derandomize=True, deadline=None, database=None)
     @given(
