@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections import namedtuple
 
-from .errors import DataError, SolverError
+from .errors import MIN_DRAWS, DataError, SolverError
 
 _PARAM_FMT = "{:.4f}"     # table precision for parameters, as published
 _UTILITY_FMT = "{:.8f}"   # table precision for utilities, as published
@@ -100,12 +101,9 @@ _non_negative_int = _checked(int, lambda value: value >= 0, "must be an integer 
 _step_count = _checked(
     int, lambda value: 1 <= value <= MAX_STEPS, f"must be an integer in [1, {MAX_STEPS}]"
 )
-
-
-def _draw_count(text: str) -> int:
-    from .mc import MIN_DRAWS
-
-    return _checked(int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}")(text)
+_draw_count = _checked(
+    int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}"
+)
 
 
 def _build_parser() -> _Parser:
@@ -348,6 +346,12 @@ def main() -> None:
 
     if hasattr(signal, "SIGPIPE"):      # a closed stdout ends sfm as it ends head or cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # One OpenBLAS thread: sfm's largest BLAS calls (a 4x4 SVD, 3x3 solves) run
+    # on one anyway, and a second one spin-waits for work. Read when numpy
+    # loads, so a process that already holds numpy is left as it is; a value
+    # the user set wins.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     outcome = run_command(sys.argv[1:])
     if outcome.payload:
         stream = sys.stdout if outcome.exit_code == 0 else sys.stderr

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one input limit that
+the CLI checks before it loads numpy."""
+
+# Fewest draws the identity battery accepts (``mc.validate_identities``).
+MIN_DRAWS = 10_000
 
 
 class DataError(Exception):

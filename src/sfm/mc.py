@@ -2,11 +2,12 @@
 
 Normals are drawn in fixed-size chunks with counter-based per-chunk seeding
 (``default_rng([seed, chunk_index])``), so results are deterministic for a
-given (spec, n, seed) and memory stays bounded at any draw count. A chunk's
-two normal vectors do not depend on the spec, so one pass over the stream
-serves any number of (spec, powers) groups: each chunk is drawn once and
-walked in cache-sized blocks, and every group accumulates sums of its
-values shifted by their first-block means. A group keeps the logs
+given (spec, n, seed). A chunk's two normal vectors do not depend on the
+spec, so one pass over the stream serves any number of (spec, powers)
+groups: each chunk is drawn once and walked in cache-sized blocks. A chunk's
+zx is held whole and its z_perp is drawn one block at a time, so a pass
+holds about 5 MiB of arrays at any draw count. Every group accumulates
+sums of its values shifted by their first-block means. A group keeps the logs
 ln x = mu_x + sigma_x zx and ln y it exponentiates, and forms each power
 as x^a = exp(a ln x), one ``exp`` per column. An exponent of 1 reuses the
 group's shifted x or y and their sums, which equal that column bit for bit,
@@ -23,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MIN_DRAWS
 from .model import lognormal_power_cov
 
 _CHUNK = 1 << 19
@@ -31,9 +33,6 @@ _BLOCK = 1 << 14  # draws per block; a block's arrays stay in cache
 # Acceptance band for a single identity check, in standard errors. At 4 the
 # per-case false-alarm rate is about 6e-5, low enough for a stable suite.
 Z_MAX = 4.0
-
-# Fewest draws the battery accepts.
-MIN_DRAWS = 10_000
 
 # Log-space moments of the bundled 1889-1978 series (sample convention),
 # frozen here so the validation battery needs no file access.
@@ -101,13 +100,6 @@ class ValidationReport:
     cases: tuple[IdentityCheck, ...]
 
 
-def _normals(seed: int, index: int, zx: np.ndarray, z_perp: np.ndarray) -> None:
-    """Fill zx and z_perp with the standard normals of chunk ``index``."""
-    rng = np.random.default_rng([seed, index])
-    rng.standard_normal(out=zx)
-    rng.standard_normal(out=z_perp)
-
-
 def _pair(spec: BivariateLogNormalSpec, zx, z_perp, lx, ly, x, y):
     """Write the logs lx = mu_x + sigma_x zx, ly = mu_y + sigma_y zy and the
     levels x = exp(lx), y = exp(ly) in place.
@@ -127,9 +119,11 @@ def _pair(spec: BivariateLogNormalSpec, zx, z_perp, lx, ly, x, y):
 
 
 def _draw_chunk(spec: BivariateLogNormalSpec, seed: int, index: int, size: int):
-    """Chunk ``index`` of the (x, y) stream: the reference for the accumulator."""
-    zx, z_perp, lx, ly, x, y = (np.empty(size) for _ in range(6))
-    _normals(seed, index, zx, z_perp)
+    """Chunk ``index`` of the (x, y) stream, its normals drawn whole (zx, then
+    z_perp, from the chunk's generator): the reference for the accumulator."""
+    rng = np.random.default_rng([seed, index])
+    zx, z_perp = rng.standard_normal(size), rng.standard_normal(size)
+    lx, ly, x, y = (np.empty(size) for _ in range(4))
     return _pair(spec, zx, z_perp, lx, ly, x, y)
 
 
@@ -160,14 +154,22 @@ def _column(w: np.ndarray, sums, lw: np.ndarray, e: float, out: np.ndarray,
 
 
 def _blocks(n: int, seed: int):
-    """Yield the stream's normals (zx, z_perp) as views of cache-sized blocks."""
-    zx, z_perp = np.empty(min(_CHUNK, n)), np.empty(min(_CHUNK, n))
+    """Yield the stream's normals (zx, z_perp) as views of cache-sized blocks.
+
+    A chunk's generator draws its zx whole, then its z_perp one block at a
+    time into one block-sized buffer, which the next block overwrites. A
+    generator fills an array in pieces with the bits of one whole fill, so
+    the blocks are those of ``_draw_chunk``.
+    """
+    zx, z_perp = np.empty(min(_CHUNK, n)), np.empty(min(_BLOCK, n))
     for index, start in enumerate(range(0, n, _CHUNK)):
         size = min(_CHUNK, n - start)
-        _normals(seed, index, zx[:size], z_perp[:size])
+        rng = np.random.default_rng([seed, index])
+        rng.standard_normal(out=zx[:size])
         for lo in range(0, size, _BLOCK):
             hi = min(lo + _BLOCK, size)
-            yield zx[lo:hi], z_perp[lo:hi]
+            rng.standard_normal(out=z_perp[:hi - lo])
+            yield zx[lo:hi], z_perp[:hi - lo]
 
 
 def _accumulate(groups, n: int, seed: int) -> list[SampleSummary]:
@@ -222,12 +224,14 @@ def _summary(n: int, seed: int, powers, marginal, cross) -> SampleSummary:
     for (a, b), row in zip(powers, cross.tolist()):
         s_u, s_v, s_uv, s_uu, s_vv, s_uuv, s_uvv, s_uuvv = row[2:]
         m_u, m_v = s_u / n, s_v / n
-        # sum (u - mean u)(v - mean v), and the sum of its squared terms
+        # sum (u - mean u)(v - mean v), and the sum of its squared terms. Squares
+        # are products: a float ** 2 raises OverflowError where * gives inf.
         sum_prod = s_uv - s_u * m_v
+        m_uv, mean_prod = m_u * m_v, sum_prod / n
         sum_prod2 = (s_uuvv - 2.0 * m_v * s_uuv - 2.0 * m_u * s_uvv
                      + m_v * m_v * s_uu + m_u * m_u * s_vv
-                     + 4.0 * m_u * m_v * s_uv - 3.0 * n * (m_u * m_v) ** 2)
-        var_prod = sum_prod2 / n - (sum_prod / n) ** 2
+                     + 4.0 * m_u * m_v * s_uv - 3.0 * n * (m_uv * m_uv))
+        var_prod = sum_prod2 / n - mean_prod * mean_prod
         covs.append(PowerCovSample(
             a=a, b=b, value=sum_prod / (n - 1),
             std_error=math.sqrt(max(var_prod, 0.0) / n),
@@ -254,11 +258,26 @@ def sample_pairs(spec: BivariateLogNormalSpec, n: int, seed: int,
         seed: RNG seed; identical (spec, n, seed) gives identical output.
         powers: (a, b) exponent pairs whose sample covariance is requested;
             every exponent must be finite.
+
+    Raises:
+        ValueError: for a non-finite exponent, or naming the first mean or
+            power whose estimate leaves the float range, such as a power
+            (1e5, 1.0) whose column x^1e5 overflows.
     """
     powers = tuple((float(a), float(b)) for a, b in powers)
     if not all(math.isfinite(a) and math.isfinite(b) for a, b in powers):
         raise ValueError("exponents must be finite")
-    return _accumulate([(spec, powers)], n, seed)[0]
+    # Overflowing columns are reported below by name, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = _accumulate([(spec, powers)], n, seed)[0]
+    estimates = [("the mean of x", (summary.mean_x, summary.se_mean_x)),
+                 ("the mean of y", (summary.mean_y, summary.se_mean_y))]
+    estimates += [(f"power (a, b) = ({est.a!r}, {est.b!r})", (est.value, est.std_error))
+                  for est in summary.power_covs]
+    for name, values in estimates:
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{name}: its sample estimate leaves the float range")
+    return summary
 
 
 def _battery() -> list[tuple[str, BivariateLogNormalSpec, float, float]]:

@@ -146,8 +146,8 @@ class RankReport:
 
 def _jacobian_rank(jac: np.ndarray):
     """A Jacobian's singular values and its numerical rank."""
-    sv = np.linalg.svd(jac, compute_uv=False)
-    return tuple(sv.tolist()), int(np.sum(sv > RANK_RTOL * sv[0]))
+    sv = np.linalg.svd(jac, compute_uv=False).tolist()
+    return tuple(sv), sum(s > RANK_RTOL * sv[0] for s in sv)
 
 
 def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:

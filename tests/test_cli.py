@@ -4,6 +4,7 @@ import gzip
 import io
 import json
 import math
+import os
 import signal
 import subprocess
 import sys
@@ -524,6 +525,13 @@ class TestStreamContract:
         assert a.stdout == b.stdout
 
 
+def fresh_stdout(argv) -> str:
+    """stdout of ``python -m sfm.cli <argv>``, whose numpy loads with main's one-thread default."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-m", "sfm.cli", *argv], capture_output=True,
+                          text=True, check=True, timeout=120, env=env).stdout
+
+
 GOLDEN_SOLVE = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
 
 
@@ -534,6 +542,11 @@ class TestSolveGolden:
         payload = run_ok(["solve", "--data", DATA, "--eq3", eq3, "--lnex", lnex,
                           "--format", "json"])
         assert payload == to_json(GOLDEN_SOLVE[setting])
+
+    def test_fresh_process_matches_golden(self):
+        argv = ["solve", "--data", DATA, "--eq3", "rederived", "--lnex", "lognormal",
+                "--format", "json"]
+        assert fresh_stdout(argv) == to_json(GOLDEN_SOLVE["rederived/lognormal"]) + "\n"
 
 
 GOLDEN_MANIFOLD = json.loads(
@@ -548,6 +561,12 @@ class TestManifoldGolden:
         payload = run_ok(["manifold", "--data", DATA, "--variance", variance, "--eq3", eq3,
                           "--lnex", lnex, "--tau-min", "0.5", "--tau-max", "5", "--steps", "21"])
         assert payload == to_json(GOLDEN_MANIFOLD[setting])
+
+    def test_fresh_process_matches_golden(self):
+        argv = ["manifold", "--data", DATA, "--variance", "population", "--eq3", "printed",
+                "--lnex", "arithmetic", "--tau-min", "0.5", "--tau-max", "5", "--steps", "21"]
+        expected = to_json(GOLDEN_MANIFOLD["population/printed/arithmetic"]) + "\n"
+        assert fresh_stdout(argv) == expected
 
 
 GOLDEN_CLASSIFY = json.loads(

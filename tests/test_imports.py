@@ -1,6 +1,7 @@
 """Cold start: a fresh interpreter loads only the modules a command runs."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -32,6 +33,9 @@ CONTRACT = {
                  ["sfm.classify", *LOADER], ["dataclasses"]),
     "usage-error": (["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2",
                      "--steps", "0"], 1, ["sfm.cli", "sfm.errors"], []),
+    "validate-bad-seed": (["validate", "--draws", "10000", "--seed", "-1"], 1,
+                          ["sfm.cli", "sfm.errors"], []),
+    "validate-few-draws": (["validate", "--draws", "5"], 1, ["sfm.cli", "sfm.errors"], []),
     "moments-missing-data": (["moments", "--data", MISSING], 2, LOADER, ["dataclasses"]),
     "solve-missing-data": (["solve", "--data", MISSING], 2, LOADER, ["dataclasses"]),
     "manifold-missing-data": (["manifold", "--data", MISSING, *MANIFOLD_FLAGS], 2,
@@ -41,13 +45,19 @@ CONTRACT = {
 }
 
 
-def loaded_by(code: str):
+def loaded_by(code: str, env=None):
     """The modules a fresh interpreter holds after ``code``, and the value ``code`` left in ``result``."""
     probe = f"import json, sys\nresult = None\n{code}\nprint(json.dumps([sorted(sys.modules), result]))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True, timeout=120)
+                          check=True, timeout=120, env=env)
     modules, result = json.loads(proc.stdout.splitlines()[-1])
     return set(modules), result
+
+
+def run_main(argv) -> str:
+    """Code that runs the console entry point as ``sfm <argv>`` does, up to its exit."""
+    return (f"from sfm.cli import main\nsys.argv = ['sfm', *{argv!r}]\n"
+            "try:\n    main()\nexcept SystemExit as exc:")
 
 
 @pytest.mark.parametrize("row", list(CONTRACT))
@@ -57,9 +67,22 @@ def test_command_loads_only_its_modules(row):
         code = "import sfm"
     else:
         # The console entry point, as ``sfm <argv>`` runs it.
-        code = (f"from sfm.cli import main\nsys.argv = ['sfm', *{argv!r}]\n"
-                "try:\n    main()\nexcept SystemExit as exc:\n    result = exc.code")
+        code = run_main(argv) + "\n    result = exc.code"
     modules, result = loaded_by(code)
     assert result == exit_code
     assert sorted(m for m in modules if m.startswith("sfm.")) == submodules
     assert [m for m in HEAVY if m in modules] == list(heavy)
+
+
+@pytest.mark.parametrize("user_value, numpy_first, expected", [
+    (None, False, "1"),     # unset: main asks for one thread before numpy loads
+    ("3", False, "3"),      # the user's value wins
+    (None, True, None),     # numpy already loaded: os.environ is left alone
+])
+def test_main_defaults_openblas_to_one_thread(user_value, numpy_first, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    code = ("import numpy\n" if numpy_first else "") + run_main(["moments", "--data", DATA])
+    code += "\n    import os\n    result = [exc.code, os.environ.get('OPENBLAS_NUM_THREADS')]"
+    assert loaded_by(code, env)[1] == [0, expected]

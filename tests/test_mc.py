@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
-from sfm.mc import _BLOCK, _CHUNK, PowerCovSample, SampleSummary, _battery, _draw_chunk
+from sfm.mc import (
+    _BLOCK, _CHUNK, PowerCovSample, SampleSummary, _battery, _blocks, _draw_chunk,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "mc_validation_1e6_seed42.json"
 
@@ -127,6 +131,39 @@ class TestSamplePairs:
         spec = BivariateLogNormalSpec(0.02, 0.04, 0.05, 0.15, 0.4)
         summary = sample_pairs(spec, 1_000, seed=1, powers=((1e5, 0.0), (0.0, -1e5)))
         assert [(c.value, c.std_error) for c in summary.power_covs] == [(0.0, 0.0)] * 2
+
+    @pytest.mark.parametrize("powers, name", [
+        (((1e5, 1.0),), "(100000.0, 1.0)"),
+        (((-2.0, 1.0), (0.5, -1e5), (1e5, 1.0)), "(0.5, -100000.0)"),
+        (((3000.0, 1.0),), "(3000.0, 1.0)"),
+    ])
+    def test_overflowing_power_rejected_by_name(self, powers, name):
+        # x^1e5 and y^-1e5 overflow, and x^3000 is finite but its squares are
+        # not: a ValueError names the first such power, and no RuntimeWarning
+        # or OverflowError escapes (warnings fail the suite).
+        spec = BivariateLogNormalSpec(0.02, 0.04, 0.05, 0.15, 0.4)
+        with pytest.raises(ValueError, match=re.escape(f"power (a, b) = {name}: ")):
+            sample_pairs(spec, 1_000, seed=1, powers=powers)
+
+    def test_overflowing_marginal_rejected_by_name(self):
+        spec = BivariateLogNormalSpec(800.0, 0.04, 0.05, 0.15, 0.4)   # exp(800) overflows
+        with pytest.raises(ValueError, match="the mean of x: .* leaves the float range"):
+            sample_pairs(spec, 1_000, seed=1)
+
+    def test_streamed_normals_match_whole_chunk_draws(self):
+        # _blocks draws z_perp one block at a time into one reused buffer; its
+        # blocks must be the bits of drawing each chunk's zx, then z_perp, whole.
+        n = _CHUNK + 3 * _BLOCK + 5   # two chunks, the second ending on a short block
+        blocks = [(zx.copy(), z_perp.copy()) for zx, z_perp in _blocks(n, 17)]
+        assert [len(zx) for zx, _ in blocks][-4:] == [_BLOCK] * 3 + [5]
+        streamed = [np.concatenate(column) for column in zip(*blocks)]
+        whole = []
+        for index, start in enumerate(range(0, n, _CHUNK)):
+            rng = np.random.default_rng([17, index])
+            size = min(_CHUNK, n - start)
+            whole.append((rng.standard_normal(size), rng.standard_normal(size)))
+        for got, want in zip(streamed, (np.concatenate(c) for c in zip(*whole))):
+            assert np.array_equal(got, want)
 
     @settings(max_examples=6, derandomize=True, deadline=None, database=None)
     @given(
@@ -259,6 +296,20 @@ class TestValidateIdentities:
         var_v = lognormal_moment(spec, 0.0, 2.0) - lognormal_moment(spec, 0.0, 1.0) ** 2
         assert exact_cov_se(spec, -2.0, 1.0, 100) == pytest.approx(
             math.sqrt(var_u * var_v / 100), rel=1e-9)
+
+    def test_peak_memory_is_one_chunk_of_zx_and_a_few_blocks(self):
+        # A pass holds one chunk of zx, a block of z_perp and seven block-sized
+        # buffers: 8 * (_CHUNK + 8 * _BLOCK) bytes, about 5 MiB. The bound
+        # leaves 8 blocks (1 MiB) for small objects; a chunk of z_perp held
+        # whole would need 4 MiB more.
+        validate_identities(10_000)    # first-call imports and caches stay out
+        tracemalloc.start()
+        try:
+            validate_identities(600_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (_CHUNK + 16 * _BLOCK)
 
     def test_golden_regression_fixture(self):
         golden = json.loads(GOLDEN.read_text())
