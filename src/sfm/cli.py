@@ -13,6 +13,7 @@ import numpy or a numeric layer, so a usage or data error loads no numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -346,16 +347,22 @@ def main() -> None:
 
     if hasattr(signal, "SIGPIPE"):      # a closed stdout ends sfm as it ends head or cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # A fresh sfm process; one that already holds numpy (an embedding script,
+    # a test run) is left as it is.
+    fresh = "numpy" not in sys.modules
     # One OpenBLAS thread: sfm's largest BLAS calls (a 4x4 SVD, 3x3 solves) run
     # on one anyway, and a second one spin-waits for work. Read when numpy
-    # loads, so a process that already holds numpy is left as it is; a value
-    # the user set wins.
-    if "numpy" not in sys.modules:
+    # loads; a value the user set wins.
+    if fresh:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     outcome = run_command(sys.argv[1:])
     if outcome.payload:
         stream = sys.stdout if outcome.exit_code == 0 else sys.stderr
         print(outcome.payload, file=stream)
+    if fresh:
+        # Shutdown runs full garbage collections over every object the imports
+        # left, 10-30 ms; they skip the permanent generation, where this moves them.
+        gc.freeze()
     sys.exit(outcome.exit_code)
 
 

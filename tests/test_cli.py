@@ -525,11 +525,34 @@ class TestStreamContract:
         assert a.stdout == b.stdout
 
 
-def fresh_stdout(argv) -> str:
-    """stdout of ``python -m sfm.cli <argv>``, whose numpy loads with main's one-thread default."""
+def fresh_run(argv, check=False):
+    """``python -m sfm.cli <argv>`` run to its exit; its numpy loads with main's one-thread default."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, "-m", "sfm.cli", *argv], capture_output=True,
-                          text=True, check=True, timeout=120, env=env).stdout
+                          check=check, timeout=120, env=env)
+
+
+def fresh_stdout(argv) -> str:
+    """stdout of ``python -m sfm.cli <argv>``."""
+    return fresh_run(argv, check=True).stdout.decode()
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["moments", "--data", DATA], 0),
+    (CLASSIFY_ARGV, 0),
+    (["validate", "--draws", "10000", "--seed", "7"], 0),
+    (["moments", "--data", str(DATA_PATH.with_name("missing.csv"))], 2),
+    (["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2", "--steps", "0"], 1),
+])
+def test_fresh_process_exits_with_run_commands_outcome(argv, exit_code):
+    # Every kind of outcome, through a real interpreter exit: the payload and
+    # a newline on the stream main picks, nothing on the other one.
+    outcome = run_command(argv)
+    proc = fresh_run(argv)
+    assert proc.returncode == outcome.exit_code == exit_code
+    expected = (outcome.payload + "\n").encode()
+    streams = (proc.stdout, proc.stderr) if outcome.exit_code == 0 else (proc.stderr, proc.stdout)
+    assert streams == (expected, b"")
 
 
 GOLDEN_SOLVE = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())

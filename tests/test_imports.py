@@ -86,3 +86,18 @@ def test_main_defaults_openblas_to_one_thread(user_value, numpy_first, expected)
     code = ("import numpy\n" if numpy_first else "") + run_main(["moments", "--data", DATA])
     code += "\n    import os\n    result = [exc.code, os.environ.get('OPENBLAS_NUM_THREADS')]"
     assert loaded_by(code, env)[1] == [0, expected]
+
+
+@pytest.mark.parametrize("numpy_first", [False, True])
+@pytest.mark.parametrize("row", ["moments", "usage-error"])
+def test_fresh_main_freezes_its_heap_before_exit(row, numpy_first):
+    # Frozen objects sit in the permanent generation, which the shutdown collections skip.
+    argv, exit_code = CONTRACT[row][:2]
+    code = ("import numpy\n" if numpy_first else "") + run_main(argv)
+    code += "\n    import gc\n    result = [exc.code, gc.get_freeze_count()]"
+    code_seen, frozen = loaded_by(code)[1]
+    assert code_seen == exit_code
+    if numpy_first:
+        assert frozen == 0      # a process that already holds numpy is left as it is
+    else:
+        assert frozen > 0
