@@ -156,9 +156,8 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     Deterministic given (m, cfg): no randomness, fixed iteration order.
     Every point after the start is evaluated from one lookup of the
     coefficient table, and an accepted trial's [A | c] becomes the first
-    three columns of its Jacobian, with the bits of evaluating it afresh. A
-    Jacobian is built only when an iteration or the end point's singular
-    values use it.
+    three columns of its Jacobian, with the bits of evaluating it afresh: a
+    point's Jacobian is built once, when the point is accepted.
     Convergence reasons: "residual" (norm below tolerance), "step" (no
     accepted step above the step tolerance, including damping exhaustion),
     "max-iter".
@@ -186,15 +185,11 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 converged = "residual"
                 iterations -= 1
                 break
-            if jac is None:
-                jac = _jacobian_from(table, x, ac)
-
             neg_grad = -(jac.T @ r)
             damped = jac.T @ jac
             diagonal = damped.ravel()[::5]      # a writable view of the diagonal
             jtj_diagonal = diagonal.copy()
 
-            accepted = False
             while lam <= _DAMPING_MAX:
                 np.add(jtj_diagonal, lam, out=diagonal)
                 try:
@@ -203,18 +198,16 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                ac_new, r_new = _evaluate(table, x_new)
+                ac, r_new = _evaluate(table, x_new)
                 norm_new = math.sqrt(r_new @ r_new)
                 if norm_new <= norm:
-                    accepted = True
                     break
                 lam *= 10.0
-
-            if not accepted:
+            else:
                 converged = "step"
                 break
 
-            x, ac, r, norm, jac = x_new, ac_new, r_new, norm_new, None
+            x, r, norm, jac = x_new, r_new, norm_new, _jacobian_from(table, x_new, ac)
             lam = max(lam * 0.3, _DAMPING_MIN)
             if math.sqrt(step @ step) <= _STEP_TOLERANCE * (1.0 + math.sqrt(x @ x)):
                 converged = "step"
@@ -226,7 +219,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
              if v > _MAX_LOG or math.exp(v) == 0.0]
     if left:
         raise SolverError(f"solve end point at tau = {tau!r}: {', '.join(left)} left the float range")
-    singular_values, rank = _jacobian_rank(_jacobian_from(table, x, ac) if jac is None else jac)
+    singular_values, rank = _jacobian_rank(jac)
     return Solution(
         params=ModelParams.from_log(b, w, d, tau),
         residuals=Residuals(*r.tolist(), norm),
@@ -248,8 +241,8 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
     columns of the returned Manifold.
 
     Raises:
-        SingularSubsystemError: naming the first grid point where k = 0, or
-            where k is so small that the solve meets an exact zero pivot.
+        SingularSubsystemError: naming the first grid point whose solve meets
+            an exact zero pivot: k = 0, or k so small that 1 +- k rounds to 1.
         OverflowError: naming the first grid point whose solution or
             residuals leave the finite range.
     """
@@ -263,15 +256,10 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
         tau = taus[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             a, c = affine_system(m, tau, options)
-            # A's r3 coefficient on b is k, the determinant of rows r2-r4.
-            singular = np.flatnonzero(a[:, 1, 0] == 0.0)
-            if singular.size:
-                raise SingularSubsystemError(
-                    f"subsystem in (b, w, d) is singular at tau = {tau[singular[0]]} (k = 0)"
-                )
             try:
                 v = np.linalg.solve(a[:, :3], -c[:, :3, None])
-            except np.linalg.LinAlgError:   # k != 0, but rounding left a zero pivot
+            except np.linalg.LinAlgError:   # k = 0, or 1 +- k rounds to 1: a zero pivot
+                # A's r3 coefficient on b is k, the determinant of rows r2-r4.
                 i = np.flatnonzero(np.linalg.det(a[:, :3]) == 0.0)[0]
                 raise SingularSubsystemError(
                     f"subsystem in (b, w, d) is singular at tau = {tau[i]} (k = {a[i, 1, 0]})"

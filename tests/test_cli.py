@@ -179,13 +179,21 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "moments must be finite, got mean_re = inf\n"
 
-    def test_numerically_singular_manifold_names_its_tau(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("tau_min,tau_max,steps,at", [
         # k = 2.2e-303 is not 0, but 1 +- k rounds to 1 and the solve meets a zero pivot.
-        argv = ["manifold", "--data", DATA, "--tau-min", "1e-300", "--tau-max", "1e-299",
-                "--steps", "3"]
-        assert run_main(argv, monkeypatch, capsys) == (3, "", (
-            "subsystem in (b, w, d) is singular at tau = 1e-300 (k = 2.2214182915624608e-303)\n"
-        ))
+        ("1e-300", "1e-299", "3", "tau = 1e-300 (k = 2.2214182915624608e-303)"),
+        # k = 0 makes rows r3 and r4 exactly dependent: the same zero pivot.
+        ("0", "1", "3", "tau = 0.0 (k = 0.0)"),
+        # A block with both kinds: the first grid point is named, not the k = 0 one.
+        ("-1e-320", "1e-320", "7", "tau = -1e-320 (k = -2e-323)"),
+    ], ids=["k-rounds-away", "k-zero", "both-in-one-block"])
+    def test_numerically_singular_manifold_names_its_tau(self, tau_min, tau_max, steps, at,
+                                                         monkeypatch, capsys):
+        argv = ["manifold", "--data", DATA, f"--tau-min={tau_min}", "--tau-max", tau_max,
+                "--steps", steps]
+        assert run_main(argv, monkeypatch, capsys) == (
+            3, "", f"subsystem in (b, w, d) is singular at {at}\n"
+        )
 
     @pytest.mark.parametrize("argv,code", [
         (["solve", "--data", DATA, "--tau0", "-1e300"], 3),

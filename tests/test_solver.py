@@ -28,9 +28,10 @@ from sfm import (
 )
 
 from sfm import model, solver
-from sfm.model import affine_system, jacobian_array, residual_array
+from sfm.model import _table, affine_system, jacobian_array, residual_array
 from sfm.solver import MANIFOLD_BLOCK, _least_squares_point
 
+import exact
 from helpers import (
     ALL_OPTIONS,
     END_POINT_FAILURES,
@@ -126,24 +127,35 @@ class TestSolve:
         # At every point a solve evaluates from its one table lookup, r equals
         # residual_array and a Jacobian built from the accepted trial's [A | c]
         # equals jacobian_array, byte for byte.
-        points, jacobians = [], []
+        calls = []
 
         def evaluate(table, x):
             ac, r = model._evaluate(table, x)
             assert r.tobytes() == residual_array(m, x, options).tobytes()
-            points.append(x)
+            calls.append(("evaluate", x.tobytes()))
             return ac, r
 
         def jacobian_from(table, x, ac):
             jac = model._jacobian_from(table, x, ac)
             assert jac.tobytes() == jacobian_array(m, x, options).tobytes()
-            jacobians.append(x)
+            calls.append(("jacobian", x.tobytes()))
             return jac
 
         with mock.patch.object(solver, "_evaluate", evaluate), \
                 mock.patch.object(solver, "_jacobian_from", jacobian_from):
-            solve(m, SolverConfig(initial=ModelParams.from_log(*start), options=options))
-        assert points and jacobians
+            solution = solve(m, SolverConfig(initial=ModelParams.from_log(*start),
+                                             options=options))
+        jacobians = [i for i, (kind, _) in enumerate(calls) if kind == "jacobian"]
+        assert jacobians
+        # One Jacobian per accepted point: each is built right after its
+        # point's evaluation and never again, and the end point's is the last.
+        # (A last step may round x back to itself, so a point can be accepted
+        # twice; and log(exp(b)) need not be b, so the end point is compared
+        # through ModelParams.)
+        for i in jacobians:
+            assert i > 0 and calls[i - 1] == ("evaluate", calls[i][1])
+        end = np.frombuffer(calls[jacobians[-1]][1])
+        assert ModelParams.from_log(*end.tolist()) == solution.params
 
     def test_deterministic_bit_identical(self, bundled_moments):
         a = solve(bundled_moments)
@@ -258,6 +270,25 @@ class TestTraceManifold:
             delta = _least_squares_point(m, tau, options) - np.log(factors)
             bound = 32 * np.finfo(float).eps * np.linalg.cond(a3)
             assert np.abs(a3 @ delta - [third, 0.0, third]).max() <= bound
+
+    @PROPERTY_SETTINGS
+    @given(
+        m=moment_sets(min_abs_rho=0.1),
+        taus=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=8),
+        options=st.sampled_from(ALL_OPTIONS),
+    )
+    def test_rows_within_rounding_of_exact_arithmetic(self, m, taus, options):
+        # Against Cramer's rule on the same table in exact rational
+        # arithmetic, each row's log factors err by at most
+        # eps * cond(A3) * max(1, |v|). The worst of 10,000 generated cases
+        # was 0.18 of that, so the bound has a margin of 5.
+        table = _table(m, options)
+        manifold = trace_manifold(m, taus, options)
+        for tau, v in zip(manifold.tau, np.log(manifold.factors)):
+            v_exact = np.array([float(value) for value in exact.manifold_point(table, tau)])
+            cond = np.linalg.cond(affine_system(m, tau, options)[0][:3])
+            bound = np.finfo(float).eps * cond * max(1.0, np.abs(v_exact).max())
+            assert np.abs(v - v_exact).max() <= bound
 
     def test_blocks_couple_nothing(self, bundled_moments):
         grid = np.linspace(0.3, 6.0, 2 * MANIFOLD_BLOCK + 37)
