@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 # Every public name, under the module it lives in.
 _EXPORTS = {
     "classify": ("InvestorReport", "build_reports", "classify_attitude", "crra_utility",
-                 "growth_scenarios", "return_scenarios", "uncertain_utility"),
+                 "return_scenarios", "uncertain_utility"),
     "dataset": ("GrowthSeries", "MarketSeries", "growth_series", "load_series"),
     "errors": ("DataError", "DegenerateSeriesError", "DomainError",
                "SingularSubsystemError", "SolverError"),
     "mc": ("BivariateLogNormalSpec", "sample_pairs", "validate_identities"),
-    "model": ("ModelOptions", "ModelParams", "Residuals", "euler_gap", "jacobian",
-              "lognormal_power_cov", "residual_vector"),
+    "model": ("ModelOptions", "ModelParams", "Residuals", "euler_gap", "lognormal_power_cov"),
     "moments": ("MomentSet", "estimate_moments", "lognormality_gap"),
     "solver": ("CANONICAL_INITIAL", "Manifold", "ManifoldPoint", "RankReport", "Solution",
                "SolverConfig", "rank_diagnostics", "residual_floor", "solve",

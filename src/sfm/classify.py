@@ -122,13 +122,8 @@ def classify_attitude(certain: float, uncertain: float, sfom: float) -> str:
     return family
 
 
-def growth_scenarios(growth: GrowthSeries) -> tuple[float, ...]:
-    """Scenario generator (a): the empirical consumption growth factors."""
-    return growth.x
-
-
 def return_scenarios(growth: GrowthSeries, investor: str) -> tuple[float, ...]:
-    """Scenario generator (b): the investor's own historical gross returns."""
+    """The investor's own historical gross returns, the scenarios of its uncertain utility."""
     if investor == INVESTOR_EQUITY:
         return growth.r_e
     if investor == INVESTOR_RISKFREE:

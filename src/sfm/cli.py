@@ -245,6 +245,9 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_manifold(args) -> str:
+    if not math.isfinite(args.tau_max - args.tau_min):     # np.linspace forms this difference
+        raise _UsageError("sfm manifold: arguments --tau-min and --tau-max: their difference "
+                          f"must be a finite number, got {args.tau_min!r} and {args.tau_max!r}")
     m = _load_moments(args, args.variance)
     import numpy as np
 

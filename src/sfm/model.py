@@ -190,24 +190,12 @@ def residual_array(m: MomentSet, log_params: np.ndarray,
     return _evaluate(_table(m, options), np.asarray(log_params, dtype=float))[1]
 
 
-def residual_vector(m: MomentSet, p: ModelParams,
-                    options: ModelOptions = DEFAULT_OPTIONS) -> Residuals:
-    """Residuals of the four equations at a parameter point, with their norm."""
-    r = residual_array(m, p.log_vector(), options)
-    return Residuals(*r.tolist(), math.sqrt(r @ r))
-
-
 def jacobian_array(m: MomentSet, log_params: np.ndarray,
                    options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
     x = np.asarray(log_params, dtype=float)
     table = _table(m, options)
     return _jacobian_from(table, x, _system_at(table, x))
-
-
-def jacobian(m: MomentSet, p: ModelParams,
-             options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    return jacobian_array(m, p.log_vector(), options)
 
 
 def lognormal_power_cov(a: float, b: float, mu_x: float, sigma_x: float,

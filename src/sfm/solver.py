@@ -277,17 +277,6 @@ def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
     return Manifold(taus, factors, residuals, norms)
 
 
-def _least_squares_point(m: MomentSet, tau: float,
-                         options: ModelOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    """v*(tau): the (b, w, d) of least residual norm at a fixed tau, exactly.
-
-    The residuals are affine in (b, w, d), so v*(tau) = lstsq(A(tau), -c(tau))
-    (the separable structure of Golub & Pereyra 1973, variable projection).
-    """
-    a, c = affine_system(m, tau, options)
-    return np.linalg.lstsq(a, -c, rcond=None)[0]
-
-
 def residual_floor(m: MomentSet, options: ModelOptions = DEFAULT_OPTIONS) -> float:
     """Attainable least-squares floor |gap|/sqrt(3); zero in implied-lnEx mode."""
     if options.lnex_mode == "lognormal_implied":

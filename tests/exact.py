@@ -3,7 +3,9 @@
 The coefficient table ``model._table(m, options)`` is read as exact input:
 each float in it, each tau and each point stands for the rational number it
 represents. Everything after that is done in ``fractions.Fraction``, with no
-rounding, so a float result can be held to its own rounding error alone.
+rounding, so a float result can be held to its own rounding error alone
+(forward-error bounds of the form eps * cond, as in Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 7).
 """
 
 from __future__ import annotations
@@ -54,11 +56,25 @@ def _det3(a: list[list[Fraction]]) -> Fraction:
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
-def manifold_point(table: np.ndarray, tau: float) -> list[Fraction]:
-    """The (b, w, d) that zeroes r2, r3 and r4 at tau, by Cramer's rule."""
-    rows = system(table, tau)[:3]
-    a = [row[:3] for row in rows]
-    rhs = [-row[3] for row in rows]
+def _cramer(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """The solution of the 3x3 system a @ v = rhs, by Cramer's rule."""
     det = _det3(a)
     return [_det3([[rhs[i] if j == col else a[i][j] for j in range(3)] for i in range(3)]) / det
             for col in range(3)]
+
+
+def manifold_point(table: np.ndarray, tau: float) -> list[Fraction]:
+    """The (b, w, d) that zeroes r2, r3 and r4 at tau, by Cramer's rule."""
+    rows = system(table, tau)[:3]
+    return _cramer([row[:3] for row in rows], [-row[3] for row in rows])
+
+
+def least_squares_point(table: np.ndarray, tau: float) -> list[Fraction]:
+    """v*(tau): the (b, w, d) of least residual norm at tau.
+
+    Solves the normal equations A^T A v = -A^T c by Cramer's rule; A^T A is
+    singular when A has rank 2 (rho = 0 or tau = 0), and the division fails.
+    """
+    rows = system(table, tau)
+    normal = [[sum(row[i] * row[j] for row in rows) for j in range(3)] for i in range(3)]
+    return _cramer(normal, [-sum(row[i] * row[3] for row in rows) for i in range(3)])

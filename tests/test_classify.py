@@ -9,7 +9,6 @@ from sfm import (
     build_reports,
     classify_attitude,
     crra_utility,
-    growth_scenarios,
     return_scenarios,
     uncertain_utility,
 )
@@ -134,7 +133,7 @@ class TestUncertainUtility:
                 c77, return_scenarios(bundled_growth, "risk-free"), REF_BETA, REF_TAU
             ),
             "consumption-growth": uncertain_utility(
-                c77, growth_scenarios(bundled_growth), REF_BETA, REF_TAU
+                c77, bundled_growth.x, REF_BETA, REF_TAU
             ),
         }
         assert by_generator["equity-returns"] == pytest.approx(6.889972754907052, rel=1e-9)

@@ -195,6 +195,20 @@ class TestExitCodes:
             3, "", f"subsystem in (b, w, d) is singular at {at}\n"
         )
 
+    @pytest.mark.parametrize("tau_min,tau_max,steps", [
+        ("-1e308", "1e308", "3"),
+        ("1e308", "-1e308", "1"),
+    ], ids=["widening", "reversed-one-step"])
+    def test_tau_range_wider_than_the_floats_is_usage_error(self, tau_min, tau_max, steps,
+                                                            monkeypatch, capsys):
+        # Each bound is finite, but tau_max - tau_min, which the grid is spaced by, overflows.
+        argv = ["manifold", "--data", DATA, f"--tau-min={tau_min}", "--tau-max", tau_max,
+                "--steps", steps]
+        assert run_main(argv, monkeypatch, capsys) == (
+            1, "", "sfm manifold: arguments --tau-min and --tau-max: their difference must be "
+                   f"a finite number, got {float(tau_min)!r} and {float(tau_max)!r}\n"
+        )
+
     @pytest.mark.parametrize("argv,code", [
         (["solve", "--data", DATA, "--tau0", "-1e300"], 3),
         (["solve", "--data", DATA, "--tau0", "-2.5E-1", "--format", "json"], 0),

@@ -27,10 +27,13 @@ def test_dir_lists_every_export():
     assert set(sfm.__all__) <= set(dir(sfm))
 
 
-def test_unknown_name_raises_attribute_error_naming_sfm():
-    with pytest.raises(AttributeError, match="module 'sfm' has no attribute 'no_such_name'"):
-        sfm.no_such_name
-    assert not hasattr(sfm, "no_such_name")
+# An unknown name, and three names removed from the public surface.
+@pytest.mark.parametrize("name", ["no_such_name", "residual_vector", "jacobian",
+                                  "growth_scenarios"])
+def test_unknown_name_raises_attribute_error_naming_sfm(name):
+    with pytest.raises(AttributeError, match=f"module 'sfm' has no attribute '{name}'"):
+        getattr(sfm, name)
+    assert not hasattr(sfm, name)
 
 
 def test_cli_reads_public_names_through_the_package():

@@ -33,6 +33,8 @@ CONTRACT = {
                  ["sfm.classify", *LOADER], ["dataclasses"]),
     "usage-error": (["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2",
                      "--steps", "0"], 1, ["sfm.cli", "sfm.errors"], []),
+    "manifold-tau-range": (["manifold", "--data", DATA, "--tau-min=-1e308", "--tau-max",
+                            "1e308", "--steps", "3"], 1, ["sfm.cli", "sfm.errors"], []),
     "validate-bad-seed": (["validate", "--draws", "10000", "--seed", "-1"], 1,
                           ["sfm.cli", "sfm.errors"], []),
     "validate-few-draws": (["validate", "--draws", "5"], 1, ["sfm.cli", "sfm.errors"], []),

@@ -11,10 +11,8 @@ from sfm import (
     ModelParams,
     MomentSet,
     euler_gap,
-    jacobian,
     lognormal_power_cov,
     lognormality_gap,
-    residual_vector,
 )
 from sfm.errors import DomainError
 from sfm.model import _table, affine_system, jacobian_array, residual_array
@@ -69,20 +67,12 @@ class TestResidualVector:
             mean_x=1.04, mean_re=1.07, mean_rf=1.01, n_obs=50,
         )
         p = ModelParams(1.0, 1.0, 1.0, 0.0)
-        r = residual_vector(m, p)
+        r2, _, r4, r5 = residual_array(m, p.log_vector())
         F, Rm, X = math.log(1.01), math.log(1.07), math.log(1.04)
-        assert r.r2 == pytest.approx(F, abs=1e-15)
-        assert r.r4 == pytest.approx(Rm - F, abs=1e-15)
-        assert r.r5 == pytest.approx(Rm - X, abs=1e-15)
-        assert r.r2 + r.r4 - r.r5 == pytest.approx(X, abs=1e-14)
-
-    def test_norm_matches_components(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            r = residual_vector(random_moments(rng), random_params(rng))
-            assert r.norm**2 == pytest.approx(
-                r.r2**2 + r.r3**2 + r.r4**2 + r.r5**2, rel=1e-14
-            )
+        assert r2 == pytest.approx(F, abs=1e-15)
+        assert r4 == pytest.approx(Rm - F, abs=1e-15)
+        assert r5 == pytest.approx(Rm - X, abs=1e-15)
+        assert r2 + r4 - r5 == pytest.approx(X, abs=1e-14)
 
     def test_matches_independent_transcription(self):
         rng = np.random.default_rng(11)
@@ -99,8 +89,8 @@ class TestResidualVector:
         for _ in range(300):
             m = random_moments(rng)
             p = random_params(rng)
-            r = residual_vector(m, p)
-            assert abs(r.r2 + r.r4 - r.r5 - lognormality_gap(m)) <= 1e-12
+            r2, _, r4, r5 = residual_array(m, p.log_vector())
+            assert abs(r2 + r4 - r5 - lognormality_gap(m)) <= 1e-12
 
     def test_identity_lognormal_implied_is_exact_zero_combination(self):
         rng = np.random.default_rng(6)
@@ -108,29 +98,30 @@ class TestResidualVector:
         for _ in range(300):
             m = random_moments(rng)
             p = random_params(rng)
-            r = residual_vector(m, p, options)
-            assert abs(r.r2 + r.r4 - r.r5) <= 1e-12
+            r2, _, r4, r5 = residual_array(m, p.log_vector(), options)
+            assert abs(r2 + r4 - r5) <= 1e-12
 
     def test_reference_point_regression(self, bundled_moments):
-        r = residual_vector(bundled_moments, REF_PARAMS)
-        assert r.norm == pytest.approx(0.014431607133079557, rel=1e-9)
-        assert r.r2 == pytest.approx(0.011401923175998308, rel=1e-9)
-        assert r.r3 == pytest.approx(0.002861617121188896, rel=1e-9)
-        assert r.r4 == pytest.approx(-0.004141349093814963, rel=1e-9)
-        assert r.r5 == pytest.approx(0.007275149996189906, rel=1e-9)
+        r = residual_array(bundled_moments, REF_PARAMS.log_vector())
+        r2, r3, r4, r5 = r
+        assert math.sqrt(r @ r) == pytest.approx(0.014431607133079557, rel=1e-9)
+        assert r2 == pytest.approx(0.011401923175998308, rel=1e-9)
+        assert r3 == pytest.approx(0.002861617121188896, rel=1e-9)
+        assert r4 == pytest.approx(-0.004141349093814963, rel=1e-9)
+        assert r5 == pytest.approx(0.007275149996189906, rel=1e-9)
 
     def test_eq3_variants_differ_by_2kF(self, bundled_moments):
         m = bundled_moments
         p = REF_PARAMS
-        printed = residual_vector(m, p, ModelOptions(eq3_variant="printed"))
-        rederived = residual_vector(m, p, ModelOptions(eq3_variant="rederived"))
+        printed = residual_array(m, p.log_vector(), ModelOptions(eq3_variant="printed"))
+        rederived = residual_array(m, p.log_vector(), ModelOptions(eq3_variant="rederived"))
         k = p.tau * m.rho * math.sqrt(m.sigma2_x * m.sigma2_r)
-        assert rederived.r3 - printed.r3 == pytest.approx(
+        assert rederived[1] - printed[1] == pytest.approx(
             2 * k * math.log(m.mean_rf), rel=1e-12
         )
-        assert rederived.r2 == printed.r2
-        assert rederived.r4 == printed.r4
-        assert rederived.r5 == printed.r5
+        assert rederived[0] == printed[0]
+        assert rederived[2] == printed[2]
+        assert rederived[3] == printed[3]
 
     def test_bad_mean_raises_domain_error(self):
         with pytest.raises((DomainError, ValueError)):
@@ -166,7 +157,7 @@ class TestJacobian:
     def test_row_identity_componentwise(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            jac = jacobian(random_moments(rng), random_params(rng))
+            jac = jacobian_array(random_moments(rng), random_params(rng).log_vector())
             np.testing.assert_allclose(
                 jac[0] + jac[2] - jac[3], np.zeros(4), rtol=0, atol=1e-14
             )
@@ -176,7 +167,7 @@ class TestJacobian:
             mu_x=0.02, sigma2_x=0.0, mu_r=0.05, sigma2_r=0.02, rho=0.0,
             mean_x=1.02, mean_re=1.07, mean_rf=1.01, n_obs=50,
         )
-        jac = jacobian(m, ModelParams(0.99, 1.0, 1.0, 2.0))
+        jac = jacobian_array(m, ModelParams(0.99, 1.0, 1.0, 2.0).log_vector())
         assert jac[2, 3] == 0.0
 
     def test_matches_central_differences(self):
@@ -193,7 +184,7 @@ class TestJacobian:
     def test_fixed_entries(self, bundled_moments):
         m = bundled_moments
         p = ModelParams(0.97, 1.02, 0.98, 1.7)
-        jac = jacobian(m, p)
+        jac = jacobian_array(m, p.log_vector())
         assert jac[0, 0] == 1.0 and jac[0, 1] == 1.0 and jac[0, 2] == 0.0
         assert jac[0, 3] == pytest.approx(-m.mu_x + p.tau * m.sigma2_x, rel=1e-14)
         assert jac[2, 1] == -1.0 and jac[2, 2] == 1.0

@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Mutation checks: does the test suite notice a deliberate fault in sfm?
+
+Each row of MUTANTS names one small fault: a file, a text that occurs in it
+exactly once, the text that replaces it, and the tests that should fail
+because of it. The tool copies the tree (src, tests, data, pyproject.toml)
+to a temporary directory, applies one mutant at a time there, runs that
+mutant's tests with pytest and prints "killed" (a test failed), "survived"
+(every test passed) or "error" (pytest could not run them), then a score.
+It first runs every chosen test on the unchanged copy and stops if one
+fails, so that "killed" always means the mutant's doing. The checkout itself
+is never edited.
+
+    python3 tools/mutants.py              # every mutant, about 2-10 s each
+    python3 tools/mutants.py pairwise-edge tau-range-unchecked
+    python3 tools/mutants.py --list
+
+The method is mutation analysis (DeMillo, Lipton & Sayward, "Hints on test
+data selection", Computer 11(4), 1978). Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# What a mutant run needs of the tree; build and cache directories stay behind.
+COPIED = ("src", "tests", "data", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str           # relative to the repository root
+    old: str            # occurs exactly once in ``file``
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("v-float32", "src/sfm/model.py",
+           "return ac, ac[:, :3] @ x[:3] + ac[:, 3]",
+           "return ac, ac[:, :3] @ x[:3].astype(np.float32) + ac[:, 3]",
+           ("tests/test_model.py::TestAffineCoreProperties",)),
+    Mutant("derivative-row-tau", "src/sfm/model.py",
+           "np.array((0.0, 1.0, 2.0 * x[3]))",
+           "np.array((0.0, 1.0, x[3]))",
+           ("tests/test_model.py::TestJacobian",)),
+    Mutant("eq3-sign", "src/sfm/model.py",
+           'f_per_k = -f if options.eq3_variant == "printed" else f',
+           'f_per_k = f if options.eq3_variant == "printed" else -f',
+           ("tests/test_model.py::TestResidualVector",)),
+    Mutant("table-writeable", "src/sfm/model.py",
+           "    table.flags.writeable = False\n",
+           "",
+           ("tests/test_model.py",)),
+    Mutant("manifold-log-scale", "src/sfm/solver.py",
+           "f = np.exp(v[..., 0], out=factors[rows])",
+           "f = np.exp(v[..., 0] * (1 + 1e-14), out=factors[rows])",
+           ("tests/test_solver.py::TestTraceManifold",)),
+    Mutant("manifold-columns-writeable", "src/sfm/solver.py",
+           "        column.flags.writeable = False\n",
+           "        pass\n",
+           ("tests/test_solver.py",)),
+    Mutant("iteration-block-short", "src/sfm/solver.py",
+           "rows = slice(start, start + MANIFOLD_BLOCK)\n            yield from",
+           "rows = slice(start, start + MANIFOLD_BLOCK - 1)\n            yield from",
+           ("tests/test_solver.py",)),
+    Mutant("solve-no-errstate", "src/sfm/solver.py",
+           'with np.errstate(over="ignore", invalid="ignore"):\n        r, jac',
+           "with np.errstate():\n        r, jac",
+           ("tests/test_solver.py::TestSolve",)),
+    Mutant("stale-jacobian-point", "src/sfm/solver.py",
+           "norm_new, _jacobian_from(table, x_new, ac)",
+           "norm_new, _jacobian_from(table, x, ac)",
+           ("tests/test_solver.py::TestSolve",)),
+    Mutant("floor-sqrt2", "src/sfm/solver.py",
+           "return abs(lognormality_gap(m)) / math.sqrt(3.0)",
+           "return abs(lognormality_gap(m)) / math.sqrt(2.0)",
+           ("tests/test_solver.py::TestSolve",)),
+    Mutant("pairwise-edge", "src/sfm/classify.py",
+           "if n > 128:",
+           "if n > 127:",
+           ("tests/test_classify.py",)),
+    Mutant("freeze-always", "src/sfm/cli.py",
+           "    if fresh:\n        # Shutdown runs",
+           "    if True:\n        # Shutdown runs",
+           ("tests/test_imports.py::test_fresh_main_freezes_its_heap_before_exit",)),
+    Mutant("manifold-beta-omega-swap", "src/sfm/cli.py",
+           '{"tau": tau, "beta": beta, "omega": omega,',
+           '{"tau": tau, "beta": omega, "omega": beta,',
+           ("tests/test_cli.py::TestManifoldGolden",)),
+    Mutant("tau-range-unchecked", "src/sfm/cli.py",
+           "    if not math.isfinite(args.tau_max - args.tau_min):",
+           "    if False:",
+           ("tests/test_cli.py::TestExitCodes",)),
+    Mutant("sample-divisor", "src/sfm/moments.py",
+           'ddof = 1 if convention == "sample" else 0',
+           'ddof = 0 if convention == "sample" else 1',
+           ("tests/test_moments.py",)),
+)
+
+
+def run_tests(tree: Path, tests) -> int:
+    """pytest's exit code for ``tests`` in the copy at ``tree``; a timeout counts as 1."""
+    # No bytecode: a mutant of the same size written within the same second
+    # would otherwise import the previous run's cached module.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(tree / "src"),
+                                                        os.environ.get("PYTHONPATH"))))}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return 1                        # a mutant that hangs its tests is caught
+
+
+def run_mutant(mutant: Mutant, tree: Path) -> str:
+    """'killed', 'survived' or 'error' for one mutant applied to the copy at ``tree``."""
+    path = tree / mutant.file
+    original = path.read_text()
+    if original.count(mutant.old) != 1:
+        return "error"
+    path.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        code = run_tests(tree, mutant.tests)
+    finally:
+        path.write_text(original)
+    return {0: "survived", 1: "killed"}.get(code, "error")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ids", nargs="*", help="mutant ids to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    by_id = {mutant.id: mutant for mutant in MUTANTS}
+    unknown = [i for i in args.ids if i not in by_id]
+    if unknown:
+        parser.error(f"unknown mutant id(s): {', '.join(unknown)}")
+    chosen = [by_id[i] for i in args.ids] or list(MUTANTS)
+    if args.list:
+        for mutant in chosen:
+            print(f"{mutant.id:28} {mutant.file:20} {' '.join(mutant.tests)}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="sfm-mutants-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, tree / name)
+        tests = list(dict.fromkeys(test for mutant in chosen for test in mutant.tests))
+        if run_tests(tree, tests) != 0:
+            print("the unmutated copy fails its tests; no mutant was run", file=sys.stderr)
+            return 2
+        outcomes = []
+        for mutant in chosen:
+            outcome = run_mutant(mutant, tree)
+            outcomes.append(outcome)
+            print(f"{outcome:8} {mutant.id}", flush=True)
+    killed = outcomes.count("killed")
+    print(f"score: {killed}/{len(outcomes)} killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
