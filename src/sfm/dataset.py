@@ -65,12 +65,13 @@ def load_series(path: str | Path) -> MarketSeries:
 
     Raises DataError with the offending line number for malformed rows,
     non-positive or non-finite values, and year gaps or duplicates, and
-    naming the file when it cannot be opened or read as UTF-8 CSV.
+    naming the file when it cannot be opened or read as UTF-8 CSV. A leading
+    byte-order mark (BOM), as spreadsheet "CSV UTF-8" exports write, is skipped.
     """
     path = Path(path)
     rows: list[tuple[int, float, float, float]] = []
     try:
-        with path.open("r", newline="", encoding="utf-8") as fh:
+        with path.open("r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

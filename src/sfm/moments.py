@@ -59,7 +59,7 @@ def estimate_moments(growth: GrowthSeries, convention: str = "sample") -> Moment
         growth: paired observations from ``dataset.growth_series``.
         convention: ``"sample"`` for the n-1 divisor (default) or
             ``"population"`` for n; the correlation uses the same divisor,
-            which cancels, so only the variance fields depend on it.
+            which cancels only in exact arithmetic: rho may differ by 1 ulp.
 
     Raises:
         DegenerateSeriesError: if ln x or ln R_e has zero variance, in which

@@ -22,8 +22,7 @@ rank report, uses. For fixed tau the residuals are linear in
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +87,16 @@ class ManifoldPoint:
     residuals: Residuals
 
 
-class Manifold(Sequence):
+class Manifold:
     """The traced solution family as columns, one row per grid tau.
 
     ``tau`` (n,), ``factors`` (n, 3) for beta, omega, delta, ``residuals``
     (n, 4) for r2..r5 and their ``norms`` (n,); trace_manifold returns them
-    read-only. As a sequence it yields one ManifoldPoint per row, built from
-    the row only when it is read, so reading every point costs about what
-    building the list of points did; its repr is the repr of that list. Unlike that
-    list, a Manifold compares by identity: compare its columns (or
-    ``list(manifold)``) for equality. A plain class, not a dataclass:
-    creating a dataclass costs about 0.4 ms of every import.
+    read-only. Iteration yields one ManifoldPoint per row, built from the
+    row only when it is reached, so reading every point costs about what
+    building the list of points did; the repr is the repr of that list. A
+    plain class, not a dataclass: creating a dataclass costs about 0.4 ms of
+    every import.
     """
 
     __slots__ = ("tau", "factors", "residuals", "norms")
@@ -109,14 +107,6 @@ class Manifold(Sequence):
 
     def __len__(self) -> int:
         return len(self.tau)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Manifold(self.tau[index], self.factors[index],
-                            self.residuals[index], self.norms[index])
-        i = operator.index(index)
-        return _point(self.tau[i].item(), self.factors[i].tolist(),
-                      self.residuals[i].tolist(), self.norms[i].item())
 
     def __iter__(self):
         # Block by block: the row lists of a long manifold are never all alive.
@@ -230,7 +220,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     )
 
 
-def trace_manifold(m: MomentSet, tau_grid: Sequence[float] | Iterable[float],
+def trace_manifold(m: MomentSet, tau_grid: Iterable[float],
                    options: ModelOptions = DEFAULT_OPTIONS) -> Manifold:
     """Solve r2 = r3 = r4 = 0 exactly for (b, w, d) at each tau in the grid.
 

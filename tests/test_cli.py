@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import gzip
@@ -126,6 +127,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.endswith("\n") and err.count("\n") == 1
         assert str(path) in err and fragment in err
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, capsys):
+        # Spreadsheet "CSV UTF-8" exports start the file with a UTF-8 BOM.
+        bom = _written(tmp_path / "bom.csv", codecs.BOM_UTF8 + DATA_PATH.read_bytes())
+        for argv in (["moments"], ["solve", "--format", "json"]):
+            plain = run_main([*argv, "--data", DATA], monkeypatch, capsys)
+            assert plain[0] == 0
+            assert run_main([*argv, "--data", str(bom)], monkeypatch, capsys) == plain
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("tau0", list(END_POINT_FAILURES))

@@ -1,0 +1,128 @@
+"""Metamorphic relations: how the output must move when the input moves in a known way.
+
+A relation needs no expected value, so it checks how the coefficient table
+is built from the data and the switches, which ``tests/exact.py`` (it starts
+from the float table) does not (Chen, Cheung & Yiu, "Metamorphic testing: a
+new approach for generating next test cases", HKUST-CS98-01, 1998). Each
+relation runs as a derandomised property, with the bundled data as one
+explicit example.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sfm import ModelOptions, estimate_moments, growth_series, load_series, trace_manifold
+from sfm.cli import run_command
+from sfm.model import EQ3_VARIANTS, _table, affine_system
+
+import exact
+from conftest import DATA_PATH
+from helpers import ALL_OPTIONS, PROPERTY_SETTINGS, moment_sets
+
+EPS = np.finfo(float).eps
+BUNDLED_SERIES = load_series(DATA_PATH)
+BUNDLED = estimate_moments(growth_series(BUNDLED_SERIES))
+BUNDLED_GRID = np.linspace(0.05, 8.0, 41).tolist()
+
+
+@PROPERTY_SETTINGS
+@given(
+    m=moment_sets(min_abs_rho=0.1),
+    taus=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=8),
+    eq3=st.sampled_from(EQ3_VARIANTS),
+)
+@example(m=BUNDLED, taus=BUNDLED_GRID, eq3="printed")
+@example(m=BUNDLED, taus=BUNDLED_GRID, eq3="rederived")
+def test_lnex_switch_changes_only_r5(m, taus, eq3):
+    # The lnEx switch enters the table only in r5's constant, so the
+    # manifold's factors and r2..r4 keep every bit. Under the implied lnEx the
+    # gap is 0, so r5 = r2 + r4 is rounding only: each of r2, r4 and r5 errs
+    # by up to 4 eps of the sum of its absolute product terms. The worst of
+    # 10,000 generated cases was 0.36 eps of those sums together, a margin
+    # of 11 (against r5's own sum alone it reached 11.8 eps); on the bundled
+    # data |r5| was 1.2e-16 at most over 3,181 taus in [0.05, 8].
+    arithmetic = trace_manifold(m, taus, ModelOptions(eq3, "arithmetic"))
+    implied = trace_manifold(m, taus, ModelOptions(eq3, "lognormal_implied"))
+    assert implied.factors.tobytes() == arithmetic.factors.tobytes()
+    assert implied.residuals[:, :3].tobytes() == arithmetic.residuals[:, :3].tobytes()
+    table = _table(m, ModelOptions(eq3, "lognormal_implied"))
+    for tau, factors, r5 in zip(implied.tau, implied.factors, implied.residuals[:, 3]):
+        s2, _, s4, s5 = exact.residual_scale(table, [*np.log(factors), tau])
+        assert abs(r5) <= 4 * EPS * (s2 + s4 + s5)
+
+
+@PROPERTY_SETTINGS
+@given(
+    m=moment_sets(min_abs_rho=0.1),
+    taus=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=8),
+    options=st.sampled_from(ALL_OPTIONS),
+)
+@example(m=BUNDLED, taus=BUNDLED_GRID, options=ModelOptions("printed"))
+@example(m=BUNDLED, taus=BUNDLED_GRID, options=ModelOptions("rederived"))
+def test_log_factor_sum_is_constant_on_the_manifold(m, taus, options):
+    # r3 + r4 = tau*kappa*(b + w + d) + tau*(kappa*f_per_k - sigma2_x) with
+    # kappa = rho*sigma_x*sigma_r and f_per_k = -F (printed) or F (rederived),
+    # F = ln mean(R_f). So where r3 = r4 = 0, b + w + d = sigma2_x/kappa - f_per_k
+    # at every tau. Each row errs by rounding, eps * cond(A3) * max(1, |v|):
+    # the worst of 20,000 generated cases was 0.20 of that, a margin of 5; on
+    # the bundled data the worst deviation was 5.0e-13 (printed) and 4.4e-13
+    # (rederived) over 3,181 taus in [0.05, 8].
+    kappa = m.rho * math.sqrt(m.sigma2_x) * math.sqrt(m.sigma2_r)
+    f = math.log(m.mean_rf)
+    total = m.sigma2_x / kappa + (f if options.eq3_variant == "printed" else -f)
+    manifold = trace_manifold(m, taus, options)
+    for tau, v in zip(manifold.tau, np.log(manifold.factors)):
+        cond = np.linalg.cond(affine_system(m, tau, options)[0][:3])
+        assert abs(v.sum() - total) <= EPS * cond * max(1.0, np.abs(v).max())
+
+
+def _csv(years, levels, equity, riskfree) -> str:
+    lines = ["year,consumption,equity_return,riskfree_return"]
+    lines += [f"{y},{c!r},{e!r},{r!r}" for y, c, e, r in zip(years, levels, equity, riskfree)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def market_tables(draw):
+    """(years, consumption levels, equity returns, risk-free returns) of 4 to 12 years."""
+    n = draw(st.integers(4, 12))
+    levels = [draw(st.floats(1.0, 1e4))]
+    for growth in draw(st.lists(st.floats(0.9, 1.1), min_size=n - 1, max_size=n - 1)):
+        levels.append(levels[-1] * growth)
+    returns = st.lists(st.floats(0.7, 1.5), min_size=n, max_size=n)
+    riskfree = st.lists(st.floats(0.95, 1.1), min_size=n, max_size=n)
+    return list(range(1900, 1900 + n)), levels, draw(returns), draw(riskfree)
+
+
+BUNDLED_TABLE = (BUNDLED_SERIES.years, BUNDLED_SERIES.consumption,
+                 BUNDLED_SERIES.equity_return, BUNDLED_SERIES.riskfree_return)
+SCALED_ARGVS = (
+    ["moments"],
+    ["solve", "--format", "json"],
+    ["manifold", "--tau-min", "0.5", "--tau-max", "5", "--steps", "21"],
+)
+
+
+# Fewer examples: each runs six commands, and argparse set-up dominates them.
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(table=market_tables(), scale=st.sampled_from((2.0, 1024.0)))
+@example(table=BUNDLED_TABLE, scale=2.0)
+@example(table=BUNDLED_TABLE, scale=1024.0)
+def test_scaling_consumption_by_a_power_of_two_keeps_every_byte(table, scale):
+    # Only growth ratios c_t / c_{t-1} enter the moments, and a power-of-two
+    # scale leaves each ratio exact. Scaling by 10 rounds the levels and
+    # moves bytes, so it is not a case here.
+    years, levels, equity, riskfree = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"     # one path, so error messages match too
+
+        def outcomes(factor):
+            path.write_text(_csv(years, [c * factor for c in levels], equity, riskfree))
+            return [run_command([*argv, "--data", str(path)]) for argv in SCALED_ARGVS]
+
+        assert outcomes(scale) == outcomes(1.0)

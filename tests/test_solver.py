@@ -358,6 +358,18 @@ def columns(manifold):
     return manifold.tau, manifold.factors, manifold.residuals, manifold.norms
 
 
+def column_points(manifold):
+    """The manifold's rows as ManifoldPoints, read from its columns."""
+    return [
+        ManifoldPoint(
+            tau=float(t), beta=float(b), omega=float(w), delta=float(d),
+            residuals=Residuals(r2=float(r2), r3=float(r3), r4=float(r4), r5=float(r5),
+                                norm=float(n)),
+        )
+        for t, (b, w, d), (r2, r3, r4, r5), n in zip(*columns(manifold))
+    ]
+
+
 class TestManifoldSequence:
     GRID = np.linspace(0.5, 5.0, 7)
 
@@ -365,34 +377,18 @@ class TestManifoldSequence:
     def manifold(self, bundled_moments):
         return trace_manifold(bundled_moments, self.GRID)
 
-    def test_len_and_indexing(self, manifold):
+    def test_len_is_the_grid_length(self, manifold):
         assert isinstance(manifold, Manifold)
         assert len(manifold) == len(self.GRID)
-        assert manifold[-1] == manifold[len(manifold) - 1]
-        assert manifold[-len(manifold)] == manifold[0]
-        assert manifold[np.int64(2)] == manifold[2]
-        for index in (len(manifold), -len(manifold) - 1):
-            with pytest.raises(IndexError):
-                manifold[index]
-        with pytest.raises(TypeError):
-            manifold[1.0]
 
-    def test_slice_is_a_manifold_of_the_rows(self, manifold):
-        part = manifold[1:6:2]
-        assert isinstance(part, Manifold)
-        assert list(part) == list(manifold)[1:6:2]
-        for a, b in zip(columns(part), columns(manifold)):
-            assert np.array_equal(a, b[1:6:2])
-        assert list(manifold[::-1]) == list(reversed(manifold))
-
-    def test_iteration_equals_indexing(self, manifold, bundled_moments):
-        assert list(manifold) == [manifold[i] for i in range(len(manifold))]
+    def test_iteration_yields_the_rows_of_the_columns(self, manifold, bundled_moments):
+        assert list(manifold) == column_points(manifold)
         # Iteration goes block by block; rows on both sides of a block edge.
         long = trace_manifold(bundled_moments, np.linspace(0.5, 5.0, 2 * MANIFOLD_BLOCK + 3))
-        assert list(long) == [long[i] for i in range(len(long))]
+        assert list(long) == column_points(long)
 
     def test_columns_are_read_only(self, manifold):
-        for column in (*columns(manifold), *columns(manifold[1:3])):
+        for column in columns(manifold):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 1.0
@@ -407,17 +403,9 @@ class TestManifoldSequence:
             values = [point.tau, point.beta, point.omega, point.delta, *vars(r).values()]
             assert all(type(v) is float for v in values)
 
-    def test_repr_is_the_list_of_points_repr(self, manifold):
-        points = [
-            ManifoldPoint(
-                tau=float(t), beta=float(b), omega=float(w), delta=float(d),
-                residuals=Residuals(r2=float(r2), r3=float(r3), r4=float(r4), r5=float(r5),
-                                    norm=float(n)),
-            )
-            for t, (b, w, d), (r2, r3, r4, r5), n in zip(*columns(manifold))
-        ]
-        assert repr(manifold) == repr(points)
-        assert repr(manifold[:0]) == "[]"
+    def test_repr_is_the_list_of_points_repr(self, manifold, bundled_moments):
+        assert repr(manifold) == repr(column_points(manifold))
+        assert repr(trace_manifold(bundled_moments, [])) == "[]"
 
 
 class TestRankDiagnostics:

@@ -57,6 +57,14 @@ MUTANTS = (
            'f_per_k = -f if options.eq3_variant == "printed" else f',
            'f_per_k = f if options.eq3_variant == "printed" else -f',
            ("tests/test_model.py::TestResidualVector",)),
+    Mutant("r5-constant-drops-h", "src/sfm/model.py",
+           "rm - ln_ex + mu + h,",
+           "rm - ln_ex + mu,",
+           ("tests/test_metamorphic.py::test_lnex_switch_changes_only_r5",)),
+    Mutant("r3-constant-sign", "src/sfm/model.py",
+           "kappa, kappa, kappa, kappa * f_per_k,",
+           "kappa, kappa, kappa, -kappa * f_per_k,",
+           ("tests/test_metamorphic.py::test_log_factor_sum_is_constant_on_the_manifold",)),
     Mutant("table-writeable", "src/sfm/model.py",
            "    table.flags.writeable = False\n",
            "",
@@ -93,6 +101,16 @@ MUTANTS = (
            "    if fresh:\n        # Shutdown runs",
            "    if True:\n        # Shutdown runs",
            ("tests/test_imports.py::test_fresh_main_freezes_its_heap_before_exit",)),
+    Mutant("parser-join-leading-dot", "src/sfm/cli.py",
+           r'r"-\.?\d"',
+           r'r"-\d"',
+           ("tests/test_cli.py::TestExitCodes::"
+            "test_negative_value_in_exponent_form_reads_as_with_equals",)),
+    Mutant("sigpipe-default-dropped", "src/sfm/cli.py",
+           "signal.signal(signal.SIGPIPE, signal.SIG_DFL)",
+           "pass",
+           ("tests/test_cli.py::TestStreamContract::"
+            "test_closed_stdout_ends_the_process_by_sigpipe",)),
     Mutant("manifold-beta-omega-swap", "src/sfm/cli.py",
            '{"tau": tau, "beta": beta, "omega": omega,',
            '{"tau": tau, "beta": omega, "omega": beta,',
@@ -101,6 +119,15 @@ MUTANTS = (
            "    if not math.isfinite(args.tau_max - args.tau_min):",
            "    if False:",
            ("tests/test_cli.py::TestExitCodes",)),
+    Mutant("bom-not-skipped", "src/sfm/dataset.py",
+           'encoding="utf-8-sig"',
+           'encoding="utf-8"',
+           ("tests/test_cli.py::TestExitCodes::test_leading_byte_order_mark_is_skipped",)),
+    Mutant("growth-through-logs", "src/sfm/dataset.py",
+           "x = tuple(cur / prev for prev, cur",
+           "x = tuple(math.exp(math.log(cur) - math.log(prev)) for prev, cur",
+           ("tests/test_metamorphic.py::"
+            "test_scaling_consumption_by_a_power_of_two_keeps_every_byte",)),
     Mutant("sample-divisor", "src/sfm/moments.py",
            'ddof = 1 if convention == "sample" else 0',
            'ddof = 0 if convention == "sample" else 1',
