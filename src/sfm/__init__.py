@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # Every public name, under the module it lives in.
 _EXPORTS = {
     "classify": ("InvestorReport", "build_reports", "classify_attitude", "crra_utility",
-                 "return_scenarios", "uncertain_utility"),
+                 "uncertain_utility"),
     "dataset": ("GrowthSeries", "MarketSeries", "growth_series", "load_series"),
     "errors": ("DataError", "DegenerateSeriesError", "DomainError",
                "SingularSubsystemError", "SolverError"),

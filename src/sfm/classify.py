@@ -15,14 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import GrowthSeries, MarketSeries, growth_series
+from .dataset import MarketSeries, growth_series
 from .errors import DomainError
 
 # Below this distance from tau = 1 the power utility switches to its ln limit.
 TAU_ONE_EPS = 1e-8
-
-INVESTOR_EQUITY = "equity"
-INVESTOR_RISKFREE = "risk-free"
 
 
 @dataclass(frozen=True)
@@ -122,21 +119,12 @@ def classify_attitude(certain: float, uncertain: float, sfom: float) -> str:
     return family
 
 
-def return_scenarios(growth: GrowthSeries, investor: str) -> tuple[float, ...]:
-    """The investor's own historical gross returns, the scenarios of its uncertain utility."""
-    if investor == INVESTOR_EQUITY:
-        return growth.r_e
-    if investor == INVESTOR_RISKFREE:
-        return growth.r_f
-    raise ValueError(f"unknown investor type {investor!r}")
-
-
 def build_reports(series: MarketSeries, year: int, beta: float, tau: float,
                   sfom_equity: float, sfom_riskfree: float) -> list[InvestorReport]:
     """The two report rows (equity first) for a given year and parameter set.
 
-    Uncertain utility uses the asset-specific return scenarios, which is the
-    only generator that distinguishes the two investor types.
+    Each investor's uncertain utility takes its own asset's returns as
+    scenarios, the only generator that distinguishes the two investor types.
 
     Raises:
         DomainError: naming the investor whose utilities are not finite.
@@ -146,11 +134,11 @@ def build_reports(series: MarketSeries, year: int, beta: float, tau: float,
     certain = crra_utility(c_now, tau)
 
     reports = []
-    for investor, sfom in (
-        (INVESTOR_EQUITY, sfom_equity),
-        (INVESTOR_RISKFREE, sfom_riskfree),
+    for investor, sfom, scenarios in (
+        ("equity", sfom_equity, growth.r_e),
+        ("risk-free", sfom_riskfree, growth.r_f),
     ):
-        uncertain = uncertain_utility(c_now, return_scenarios(growth, investor), beta, tau)
+        uncertain = uncertain_utility(c_now, scenarios, beta, tau)
         if not (math.isfinite(certain) and math.isfinite(uncertain)):
             raise DomainError(
                 f"{investor} investor: utilities are not finite "

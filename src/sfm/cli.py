@@ -164,17 +164,17 @@ def _options(args):
     return ModelOptions(eq3_variant=args.eq3, lnex_mode=lnex)
 
 
-def _load_moments(args, convention: str):
+def _load_moments(args):
     from .dataset import growth_series, load_series
 
     growth = growth_series(load_series(args.data))
     from .moments import estimate_moments
 
-    return estimate_moments(growth, convention)
+    return estimate_moments(growth, args.variance)
 
 
 def _cmd_moments(args) -> str:
-    m = _load_moments(args, args.variance)
+    m = _load_moments(args)
     from .moments import lognormality_gap
 
     return to_json({**vars(m), "gap": lognormality_gap(m)})
@@ -228,7 +228,7 @@ def _solve_table(solution, gap: float) -> str:
 
 
 def _cmd_solve(args) -> str:
-    m = _load_moments(args, args.variance)
+    m = _load_moments(args)
     from .model import ModelParams
     from .moments import lognormality_gap
     from .solver import SolverConfig, solve
@@ -248,7 +248,7 @@ def _cmd_manifold(args) -> str:
     if not math.isfinite(args.tau_max - args.tau_min):     # np.linspace forms this difference
         raise _UsageError("sfm manifold: arguments --tau-min and --tau-max: their difference "
                           f"must be a finite number, got {args.tau_min!r} and {args.tau_max!r}")
-    m = _load_moments(args, args.variance)
+    m = _load_moments(args)
     import numpy as np
 
     from .moments import lognormality_gap

@@ -68,24 +68,13 @@ class ModelParams:
         if min(self.beta, self.omega, self.delta) <= 0:
             raise DomainError("beta, omega, delta must be strictly positive")
 
-    @property
-    def b(self) -> float:
-        return math.log(self.beta)
-
-    @property
-    def w(self) -> float:
-        return math.log(self.omega)
-
-    @property
-    def d(self) -> float:
-        return math.log(self.delta)
-
     @classmethod
     def from_log(cls, b: float, w: float, d: float, tau: float) -> "ModelParams":
         return cls(beta=math.exp(b), omega=math.exp(w), delta=math.exp(d), tau=tau)
 
     def log_vector(self) -> np.ndarray:
-        return np.array([self.b, self.w, self.d, self.tau])
+        return np.array([math.log(self.beta), math.log(self.omega), math.log(self.delta),
+                         self.tau])
 
 
 @dataclass(frozen=True)

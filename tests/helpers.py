@@ -82,7 +82,7 @@ def exact_root_moments(p: ModelParams, mu_x: float = 0.018, sigma2_x: float = 0.
     the remaining equation. The requested rho is replaced by the implied one,
     adjusting sigma2_r to keep k = tau*rho*sigma_x*sigma_r feasible.
     """
-    b, w, d, tau = p.b, p.w, p.d, p.tau
+    b, w, d, tau = p.log_vector().tolist()
     f = -b - w + tau * mu_x - 0.5 * tau**2 * sigma2_x
     rm = f + w - d + tau * sigma2_x
     if tau == 0.0:

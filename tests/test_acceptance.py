@@ -177,7 +177,7 @@ def test_criterion_5_published_calibration(bundled_growth):
     # Fallback: distance from the published point to the solution manifold,
     # default documented setting (sample variance, arithmetic lnEx, printed).
     m = estimate_moments(bundled_growth, "sample")
-    ref_log = np.array([ref.b, ref.w, ref.d, ref.tau])
+    ref_log = ref.log_vector()
     points = trace_manifold(m, np.arange(0.05, 8.0001, 0.0025))
     distance = min(
         float(np.linalg.norm(np.array(
@@ -219,7 +219,7 @@ def test_criterion_5_needs_k_beyond_any_correlation(bundled_moments, eq3, f_sign
 
     at_zero, at_one = r3_plus_r4(0.0), r3_plus_r4(1.0)
     k_needed = -at_zero / (at_one - at_zero) * k_max
-    closed_form = p.tau * m.sigma2_x / (p.b + p.w + p.d + f_sign * math.log(m.mean_rf))
+    closed_form = p.tau * m.sigma2_x / (sum(p.log_vector()[:3]) + f_sign * math.log(m.mean_rf))
     print(f"[acceptance] criterion 5, {eq3}: r3 = r4 = 0 needs k = {k_needed:.4f}, "
           f"{k_needed / k_max:.1f} x k_max = {k_max:.4f}")
     assert k_needed == pytest.approx(closed_form, rel=1e-9)
@@ -245,7 +245,7 @@ def test_criterion_5_readme_figures(bundled_growth):
     assert min(deviations) == pytest.approx(0.7568, abs=5e-5)
 
     m = estimate_moments(bundled_growth, "sample")
-    ref_log = np.array([ref.b, ref.w, ref.d, ref.tau])
+    ref_log = ref.log_vector()
     grid = np.arange(0.05, 8.0001, 0.0025)
     for eq3, figure in (("printed", 0.9878), ("rederived", 0.9602)):
         manifold = trace_manifold(m, grid, ModelOptions(eq3_variant=eq3))

@@ -9,7 +9,6 @@ from sfm import (
     build_reports,
     classify_attitude,
     crra_utility,
-    return_scenarios,
     uncertain_utility,
 )
 from sfm.classify import _mean
@@ -127,10 +126,10 @@ class TestUncertainUtility:
         c77 = bundled_series.consumption_of(1977)
         by_generator = {
             "equity-returns": uncertain_utility(
-                c77, return_scenarios(bundled_growth, "equity"), REF_BETA, REF_TAU
+                c77, bundled_growth.r_e, REF_BETA, REF_TAU
             ),
             "riskfree-returns": uncertain_utility(
-                c77, return_scenarios(bundled_growth, "risk-free"), REF_BETA, REF_TAU
+                c77, bundled_growth.r_f, REF_BETA, REF_TAU
             ),
             "consumption-growth": uncertain_utility(
                 c77, bundled_growth.x, REF_BETA, REF_TAU
@@ -173,12 +172,6 @@ class TestMean:
     def test_negative_zeros_mean_to_positive_zero(self, n):
         values = [-0.0] * n
         assert _mean(values).hex() == float(np.mean(values)).hex() == "0x0.0p+0"
-
-
-class TestReturnScenarios:
-    def test_unknown_investor_rejected(self, bundled_growth):
-        with pytest.raises(ValueError, match="unknown investor type 'bond'"):
-            return_scenarios(bundled_growth, "bond")
 
 
 class TestClassifyAttitude:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm import (
+    CANONICAL_INITIAL,
     Manifold,
     ModelOptions,
     estimate_moments,
@@ -27,7 +28,7 @@ from sfm import (
     lognormality_gap,
     trace_manifold,
 )
-from sfm.cli import main, run_command, to_json
+from sfm.cli import _build_parser, main, run_command, to_json
 
 from conftest import DATA_PATH
 from helpers import END_POINT_FAILURES, PROPERTY_SETTINGS
@@ -355,6 +356,12 @@ class TestSolveCommand:
                     "--eq3", eq3, "--lnex", lnex,
                 ]))
                 assert doc["rank"] <= 3
+
+    def test_flag_defaults_are_the_canonical_start(self):
+        # The parser keeps its own copy so that a usage error loads no numpy.
+        args = _build_parser().parse_args(["solve", "--data", "x"])
+        start = (args.beta0, args.omega0, args.delta0, args.tau0)
+        assert start == tuple(vars(CANONICAL_INITIAL).values())
 
     def test_initial_guess_flags(self):
         doc = json.loads(run_ok([

@@ -27,9 +27,9 @@ def test_dir_lists_every_export():
     assert set(sfm.__all__) <= set(dir(sfm))
 
 
-# An unknown name, and three names removed from the public surface.
+# An unknown name, and four names removed from the public surface.
 @pytest.mark.parametrize("name", ["no_such_name", "residual_vector", "jacobian",
-                                  "growth_scenarios"])
+                                  "growth_scenarios", "return_scenarios"])
 def test_unknown_name_raises_attribute_error_naming_sfm(name):
     with pytest.raises(AttributeError, match=f"module 'sfm' has no attribute '{name}'"):
         getattr(sfm, name)

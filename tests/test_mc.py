@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
+from sfm import mc
 from sfm.mc import (
     _BLOCK, _CHUNK, Z_MAX, PowerCovSample, SampleSummary, _battery, _blocks, _draw_chunk,
 )
@@ -343,6 +344,16 @@ class TestValidateIdentities:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (_CHUNK + 16 * _BLOCK)
+
+    def test_bundled_constants_are_the_data_moments(self, bundled_moments):
+        m = bundled_moments
+        assert (mc.BUNDLED_MU_X, mc.BUNDLED_SIGMA_X, mc.BUNDLED_MU_R, mc.BUNDLED_SIGMA_R) == (
+            m.mu_x, math.sqrt(m.sigma2_x), m.mu_r, math.sqrt(m.sigma2_r))
+
+    def test_bundled_rho_is_the_target_one_ulp_above_the_data(self, bundled_moments):
+        # Moving BUNDLED_RHO to the data's value would move the MC fixture.
+        assert mc.BUNDLED_RHO == 0.4
+        assert math.nextafter(bundled_moments.rho, math.inf) == mc.BUNDLED_RHO
 
     def test_golden_regression_fixture(self):
         golden = json.loads(GOLDEN.read_text())

@@ -32,7 +32,7 @@ from helpers import (
 
 def transcribed_residuals(m: MomentSet, p: ModelParams, options: ModelOptions):
     """Independent straight-line transcription of the four equations."""
-    b, w, d, tau = p.b, p.w, p.d, p.tau
+    b, w, d, tau = math.log(p.beta), math.log(p.omega), math.log(p.delta), p.tau
     F = math.log(m.mean_rf)
     Rm = math.log(m.mean_re)
     X = math.log(m.mean_x) if options.lnex_mode == "arithmetic" else m.mu_x + 0.5 * m.sigma2_x

@@ -343,7 +343,7 @@ class TestTraceManifold:
     def test_distance_to_reference_point_diagnostic(self, bundled_moments):
         # Minimum distance (in log-parameter space) from the traced curve to
         # the published calibration; regression-frozen from the bundled data.
-        ref = np.array([REF_PARAMS.b, REF_PARAMS.w, REF_PARAMS.d, REF_PARAMS.tau])
+        ref = REF_PARAMS.log_vector()
         points = trace_manifold(bundled_moments, np.arange(0.5, 5.0 + 1e-12, 0.01))
         dist = min(
             float(np.linalg.norm(np.array(

@@ -65,6 +65,10 @@ MUTANTS = (
            "kappa, kappa, kappa, kappa * f_per_k,",
            "kappa, kappa, kappa, -kappa * f_per_k,",
            ("tests/test_metamorphic.py::test_log_factor_sum_is_constant_on_the_manifold",)),
+    Mutant("log-vector-order", "src/sfm/model.py",
+           "math.log(self.omega), math.log(self.delta)",
+           "math.log(self.delta), math.log(self.omega)",
+           ("tests/test_model.py::TestResidualVector::test_reference_point_regression",)),
     Mutant("table-writeable", "src/sfm/model.py",
            "    table.flags.writeable = False\n",
            "",
@@ -97,6 +101,10 @@ MUTANTS = (
            "if n > 128:",
            "if n > 127:",
            ("tests/test_classify.py",)),
+    Mutant("scenarios-swapped", "src/sfm/classify.py",
+           '("equity", sfom_equity, growth.r_e),\n        ("risk-free", sfom_riskfree, growth.r_f),',
+           '("equity", sfom_equity, growth.r_f),\n        ("risk-free", sfom_riskfree, growth.r_e),',
+           ("tests/test_cli.py::TestClassifyGolden",)),
     Mutant("freeze-always", "src/sfm/cli.py",
            "    if fresh:\n        # Shutdown runs",
            "    if True:\n        # Shutdown runs",

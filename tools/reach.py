@@ -13,6 +13,9 @@ one process:
   workload's own ``digest`` and ``check`` of every op. A ``cli_session`` op
   is a process in the benchmark; here its argv goes through ``run_command``
   and the outcome is laid out on stdout and stderr as ``sfm.cli.main`` does.
+  The ops run under ``perfbench/tracing.py``'s ``Tracer``, installed as in a
+  traced benchmark run, so what its span hooks read of the program counts too
+  (``len`` of a loaded series, ``residual_floor`` after a solve).
 
 It then prints the functions that never ran and the statements that never
 ran outside them, skipping ``raise`` statements: the error paths are the
@@ -109,6 +112,7 @@ def run_everything() -> list[str]:
     from sfm.cli import run_command
 
     sys.path.insert(0, str(ROOT / "perfbench"))
+    import tracing
     import workloads
 
     def quiet_run(argv):
@@ -121,23 +125,28 @@ def run_everything() -> list[str]:
         if outcome.exit_code != code:
             failures.append(f"sfm {' '.join(argv)}: exit {outcome.exit_code}, expected {code}")
 
-    with tempfile.TemporaryDirectory(prefix="sfm-reach-") as tmp:
-        for name, blocks in WORKLOADS:
-            workload = workloads.WORKLOADS[name](SimpleNamespace(workdir=Path(tmp)), SEED)
-            ops = [workload.warmup_op()]
-            schedule = workload.blocks()
-            for _ in range(blocks):
-                ops += next(schedule)
-            for op in ops:
-                if workload.runs_in_children:
-                    outcome = quiet_run(op.args)
-                    result = workloads.Result(0.0, (outcome.exit_code, *_streams(outcome)))
-                else:
-                    result = workload.execute(op)
-                workload.digest(result)
-                reason = workload.check(op, result)
-                if reason:
-                    failures.append(f"{name} {op.kind} op: {reason}")
+    layers = tracing.Tracer()       # as a traced benchmark run installs it
+    layers.install()
+    try:
+        with tempfile.TemporaryDirectory(prefix="sfm-reach-") as tmp:
+            for name, blocks in WORKLOADS:
+                workload = workloads.WORKLOADS[name](SimpleNamespace(workdir=Path(tmp)), SEED)
+                ops = [workload.warmup_op()]
+                schedule = workload.blocks()
+                for _ in range(blocks):
+                    ops += next(schedule)
+                for op in ops:
+                    if workload.runs_in_children:
+                        outcome = quiet_run(op.args)
+                        result = workloads.Result(0.0, (outcome.exit_code, *_streams(outcome)))
+                    else:
+                        result = workload.execute(op)
+                    workload.digest(result)
+                    reason = workload.check(op, result)
+                    if reason:
+                        failures.append(f"{name} {op.kind} op: {reason}")
+    finally:
+        layers.uninstall()
     return failures
 
 
