@@ -119,15 +119,6 @@ def _pair(spec: BivariateLogNormalSpec, zx, z_perp, lx, ly, x, y):
     return x, y
 
 
-def _draw_chunk(spec: BivariateLogNormalSpec, seed: int, index: int, size: int):
-    """Chunk ``index`` of the (x, y) stream, its normals drawn whole (zx, then
-    z_perp, from the chunk's generator): the reference for the accumulator."""
-    rng = np.random.default_rng([seed, index])
-    zx, z_perp = rng.standard_normal(size), rng.standard_normal(size)
-    lx, ly, x, y = (np.empty(size) for _ in range(4))
-    return _pair(spec, zx, z_perp, lx, ly, x, y)
-
-
 def _shift(w: np.ndarray, row: np.ndarray, k: int, first: bool) -> None:
     """Subtract the shift row[k] from w in place; the first block sets it to w's mean."""
     if first:
@@ -160,7 +151,7 @@ def _blocks(n: int, seed: int):
     A chunk's generator draws its zx whole, then its z_perp one block at a
     time into one block-sized buffer, which the next block overwrites. A
     generator fills an array in pieces with the bits of one whole fill, so
-    the blocks are those of ``_draw_chunk``.
+    the blocks are those of the whole draws of ``tests/test_mc.py``'s reference.
     """
     zx, z_perp = np.empty(min(_CHUNK, n)), np.empty(min(_BLOCK, n))
     for index, start in enumerate(range(0, n, _CHUNK)):

@@ -154,14 +154,9 @@ def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
     return ac[..., :3], ac[..., 3]
 
 
-def _system_at(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[A | c] at x's tau: affine_system's product at one tau."""
-    return (x[3] ** _POWERS @ table).reshape(4, 4)
-
-
 def _evaluate(table: np.ndarray, x: np.ndarray):
-    """[A | c] at x's tau and r = A @ v + c at x."""
-    ac = _system_at(table, x)
+    """[A | c] at x's tau, affine_system's product at one tau, and r = A @ v + c at x."""
+    ac = (x[3] ** _POWERS @ table).reshape(4, 4)
     return ac, ac[:, :3] @ x[:3] + ac[:, 3]
 
 
@@ -184,7 +179,7 @@ def jacobian_array(m: MomentSet, log_params: np.ndarray,
     """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
     x = np.asarray(log_params, dtype=float)
     table = _table(m, options)
-    return _jacobian_from(table, x, _system_at(table, x))
+    return _jacobian_from(table, x, _evaluate(table, x)[0])
 
 
 def lognormal_power_cov(a: float, b: float, mu_x: float, sigma_x: float,

@@ -112,17 +112,14 @@ class Manifold:
         # Block by block: the row lists of a long manifold are never all alive.
         for start in range(0, len(self.tau), MANIFOLD_BLOCK):
             rows = slice(start, start + MANIFOLD_BLOCK)
-            yield from map(_point, self.tau[rows].tolist(), self.factors[rows].tolist(),
-                           self.residuals[rows].tolist(), self.norms[rows].tolist())
+            for tau, (beta, omega, delta), (r2, r3, r4, r5), norm in zip(
+                    self.tau[rows].tolist(), self.factors[rows].tolist(),
+                    self.residuals[rows].tolist(), self.norms[rows].tolist()):
+                # Positional: a frozen dataclass takes keywords about a quarter slower.
+                yield ManifoldPoint(tau, beta, omega, delta, Residuals(r2, r3, r4, r5, norm))
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-def _point(tau: float, factors, residuals, norm: float) -> ManifoldPoint:
-    (beta, omega, delta), (r2, r3, r4, r5) = factors, residuals
-    # Positional: a frozen dataclass takes keywords about a quarter slower.
-    return ManifoldPoint(tau, beta, omega, delta, Residuals(r2, r3, r4, r5, norm))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
 from sfm import mc
 from sfm.mc import (
-    _BLOCK, _CHUNK, Z_MAX, PowerCovSample, SampleSummary, _battery, _blocks, _draw_chunk,
+    _BLOCK, _CHUNK, Z_MAX, PowerCovSample, SampleSummary, _battery, _blocks,
 )
 
 from helpers import PROPERTY_SETTINGS
@@ -30,9 +30,21 @@ GENERATED_EXPONENTS = st.just(0.0) | st.builds(
     lambda magnitude, sign: sign * magnitude, st.floats(0.05, 3.0), st.sampled_from((-1.0, 1.0)))
 
 
+def draw_chunk(spec, seed: int, index: int, size: int):
+    """Chunk ``index`` of the (x, y) stream, restated from its definition.
+
+    The chunk's generator draws zx, then z_perp, whole; zy = rho zx +
+    sqrt(1 - rho^2) z_perp, x = exp(mu_x + sigma_x zx), y = exp(mu_y + sigma_y zy).
+    """
+    rng = np.random.default_rng([seed, index])
+    zx, z_perp = rng.standard_normal(size), rng.standard_normal(size)
+    zy = spec.rho * zx + math.sqrt(1.0 - spec.rho**2) * z_perp
+    return np.exp(spec.mu_x + spec.sigma_x * zx), np.exp(spec.mu_y + spec.sigma_y * zy)
+
+
 def two_pass_summary(spec, n, seed, powers) -> SampleSummary:
     """Reference: means, then centred moments, over the concatenated stream."""
-    chunks = [_draw_chunk(spec, seed, index, min(_CHUNK, n - start))
+    chunks = [draw_chunk(spec, seed, index, min(_CHUNK, n - start))
               for index, start in enumerate(range(0, n, _CHUNK))]
     x = np.concatenate([x for x, _ in chunks])
     y = np.concatenate([y for _, y in chunks])
