@@ -34,15 +34,6 @@ _BLOCK = 1 << 14  # draws per block; a block's arrays stay in cache
 # per-case false-alarm rate is about 6e-5, low enough for a stable suite.
 Z_MAX = 4.0
 
-# Log-space moments of the bundled 1889-1978 series (sample convention), kept
-# here so the validation battery needs no file access. rho is the correlation
-# the reconstruction targets, one ulp above the data's 0.39999999999999997.
-BUNDLED_MU_X = 0.01751333350822086
-BUNDLED_SIGMA_X = 0.03565985421361557
-BUNDLED_MU_R = 0.05557636374293515
-BUNDLED_SIGMA_R = 0.15573663581568173
-BUNDLED_RHO = 0.4
-
 
 @dataclass(frozen=True)
 class BivariateLogNormalSpec:
@@ -280,8 +271,11 @@ def _battery() -> list[tuple[str, BivariateLogNormalSpec, float, float]]:
         ("negative rho", BivariateLogNormalSpec(0.01, 0.05, 0.03, 0.20, -0.6), 1.0, 1.0),
         ("symmetric squares", BivariateLogNormalSpec(0.0, 0.10, 0.0, 0.10, 0.5), 2.0, 2.0),
     ]
+    # Log-space moments of the bundled 1889-1978 series (sample convention),
+    # written here so the battery needs no file access. rho is the correlation
+    # the reconstruction targets, one ulp above the data's 0.39999999999999997.
     bundled = BivariateLogNormalSpec(
-        BUNDLED_MU_X, BUNDLED_SIGMA_X, BUNDLED_MU_R, BUNDLED_SIGMA_R, BUNDLED_RHO
+        0.01751333350822086, 0.03565985421361557, 0.05557636374293515, 0.15573663581568173, 0.4
     )
     for tau in (0.0, 1.0, 1.0319, 4.4):
         cases.append((f"bundled mrs tau={tau}", bundled, -tau, 1.0))

@@ -9,6 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from sfm import ModelOptions, ModelParams, MomentSet, lognormality_gap
+from sfm.model import residual_array
 
 # Reference calibration this toolkit aims to reproduce (published values).
 REF_BETA = 0.9581
@@ -70,6 +71,18 @@ def random_params(rng: np.random.Generator) -> ModelParams:
         beta=float(beta), omega=float(omega), delta=float(delta),
         tau=float(rng.uniform(-3.0, 6.0)),
     )
+
+
+def fd_jacobian(m, log_params, options, step=1e-6):
+    """The residuals' Jacobian by central differences of ``step`` in each log parameter."""
+    jac = np.zeros((4, 4))
+    for j in range(4):
+        hi = log_params.copy()
+        lo = log_params.copy()
+        hi[j] += step
+        lo[j] -= step
+        jac[:, j] = (residual_array(m, hi, options) - residual_array(m, lo, options)) / (2 * step)
+    return jac
 
 
 def exact_root_moments(p: ModelParams, mu_x: float = 0.018, sigma2_x: float = 0.0012,

@@ -36,6 +36,7 @@ from helpers import (
     REF_TAU,
     REF_UNCERTAIN_EQUITY,
     REF_UNCERTAIN_RISKFREE,
+    fd_jacobian,
     random_moments,
     random_params,
 )
@@ -76,7 +77,6 @@ def test_criterion_1_structural_identity():
 def test_criterion_2_jacobian_vs_finite_differences():
     """Analytic Jacobian matches central differences, both eq3 variants."""
     rng = np.random.default_rng(102)
-    step = 1e-6
     start = time.perf_counter()
     worst = 0.0
     for _ in range(100):
@@ -84,16 +84,8 @@ def test_criterion_2_jacobian_vs_finite_differences():
         x = random_params(rng).log_vector()
         for eq3 in ("printed", "rederived"):
             options = ModelOptions(eq3_variant=eq3)
-            analytic = jacobian_array(m, x, options)
-            numeric = np.zeros((4, 4))
-            for j in range(4):
-                hi, lo = x.copy(), x.copy()
-                hi[j] += step
-                lo[j] -= step
-                numeric[:, j] = (
-                    residual_array(m, hi, options) - residual_array(m, lo, options)
-                ) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(analytic - numeric))))
+            numeric = fd_jacobian(m, x, options)
+            worst = max(worst, float(np.max(np.abs(jacobian_array(m, x, options) - numeric))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 1.0
     report(2, ok, f"max entry dev {worst:.2e}, {elapsed:.2f}s")

@@ -530,12 +530,6 @@ class TestStreamContract:
             capture_output=True, text=True, timeout=120,
         )
 
-    def test_error_goes_to_stderr_only(self):
-        proc = self.run_process(["solve", "--data", "missing.csv"])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.strip() != ""
-
     def test_success_goes_to_stdout(self):
         proc = self.run_process(["moments", "--data", DATA])
         assert proc.returncode == 0
@@ -581,11 +575,14 @@ def fresh_stdout(argv) -> str:
     (["validate", "--draws", "10000", "--seed", "7"], 0),
     (["moments", "--data", str(DATA_PATH.with_name("missing.csv"))], 2),
     (["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2", "--steps", "0"], 1),
+    (["solve", "--data", str(DATA_PATH.with_name("missing.csv"))], 2),
 ])
 def test_fresh_process_exits_with_run_commands_outcome(argv, exit_code):
-    # Every kind of outcome, through a real interpreter exit: the payload and
-    # a newline on the stream main picks, nothing on the other one.
+    # Every kind of outcome, through a real interpreter exit: the payload (a
+    # diagnostic on failure) and a newline on the stream main picks, nothing
+    # on the other one.
     outcome = run_command(argv)
+    assert outcome.payload
     proc = fresh_run(argv)
     assert proc.returncode == outcome.exit_code == exit_code
     expected = (outcome.payload + "\n").encode()

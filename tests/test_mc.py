@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
-from sfm import mc
 from sfm.mc import (
     _BLOCK, _CHUNK, Z_MAX, PowerCovSample, SampleSummary, _battery, _blocks,
 )
@@ -19,9 +18,10 @@ from helpers import PROPERTY_SETTINGS
 
 GOLDEN = Path(__file__).parent / "data" / "mc_validation_1e6_seed42.json"
 
-# Every exponent the identity battery uses, and its distinct specs.
+# Every exponent the identity battery uses, its distinct specs and the bundled data's spec.
 BATTERY_EXPONENTS = sorted({e for _, _, a, b in _battery() for e in (a, b)})
 BATTERY_SPECS = list(dict.fromkeys(spec for _, spec, _, _ in _battery()))
+BUNDLED_SPEC = next(spec for name, spec, _, _ in _battery() if name.startswith("bundled"))
 
 # 0, or |e| in [0.05, 3]. Not tiny: with b = -2.2e-16 every y^b rounds to
 # 1.0, so the sample covariance is exactly 0 with standard error 0, while the
@@ -358,14 +358,14 @@ class TestValidateIdentities:
         assert peak <= 8 * (_CHUNK + 16 * _BLOCK)
 
     def test_bundled_constants_are_the_data_moments(self, bundled_moments):
-        m = bundled_moments
-        assert (mc.BUNDLED_MU_X, mc.BUNDLED_SIGMA_X, mc.BUNDLED_MU_R, mc.BUNDLED_SIGMA_R) == (
+        m, spec = bundled_moments, BUNDLED_SPEC
+        assert (spec.mu_x, spec.sigma_x, spec.mu_y, spec.sigma_y) == (
             m.mu_x, math.sqrt(m.sigma2_x), m.mu_r, math.sqrt(m.sigma2_r))
 
     def test_bundled_rho_is_the_target_one_ulp_above_the_data(self, bundled_moments):
-        # Moving BUNDLED_RHO to the data's value would move the MC fixture.
-        assert mc.BUNDLED_RHO == 0.4
-        assert math.nextafter(bundled_moments.rho, math.inf) == mc.BUNDLED_RHO
+        # Moving the bundled rho to the data's value would move the MC fixture.
+        assert BUNDLED_SPEC.rho == 0.4
+        assert math.nextafter(bundled_moments.rho, math.inf) == BUNDLED_SPEC.rho
 
     def test_golden_regression_fixture(self):
         golden = json.loads(GOLDEN.read_text())

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from sfm import (
     MarketSeries, ModelOptions, estimate_moments, growth_series, load_series, trace_manifold,
 )
+from sfm.classify import TAU_ONE_EPS, crra_utility, uncertain_utility
 from sfm.cli import run_command
 from sfm.model import EQ3_VARIANTS, _table, affine_system
 
@@ -152,6 +153,70 @@ def test_scaling_consumption_by_a_power_of_two_keeps_every_byte(table, scale):
             return [run_command([*argv, "--data", str(path)]) for argv in SCALED_ARGVS]
 
         assert outcomes(scale) == outcomes(1.0)
+
+
+# tau over [-3, 6], and within 2 TAU_ONE_EPS of 1, where crra_utility switches
+# to its ln limit on one side and keeps the expm1 form on the other.
+CRRA_TAUS = st.floats(-3.0, 6.0) | st.floats(1.0 - 2 * TAU_ONE_EPS, 1.0 + 2 * TAU_ONE_EPS)
+BUNDLED_C = BUNDLED_SERIES.consumption_of(1978)
+
+
+def power_factor(lam, tau):
+    """lam^(1 - tau); 1 where crra_utility is ln c, since ln(lam c) = ln c + ln lam."""
+    return 1.0 if abs(1.0 - tau) < TAU_ONE_EPS else lam ** (1.0 - tau)
+
+
+def utility_rounding(c, tau):
+    """How far crra_utility(c, tau) may round, in units of eps.
+
+    |U| for expm1 and the division, c^(1-tau) |ln c| for the rounded exponent
+    (1 - tau) ln c, and c^(1-tau) for a rounded c.
+    """
+    return abs(crra_utility(c, tau)) + c ** (1.0 - tau) * (1.0 + abs(math.log(c)))
+
+
+@PROPERTY_SETTINGS
+@given(c=st.floats(1e-2, 1e4), lam=st.floats(1e-2, 1e2), tau=CRRA_TAUS)
+@example(c=BUNDLED_C, lam=2.0, tau=1.0319)
+@example(c=BUNDLED_C, lam=10.0, tau=1.0 + 0.5 * TAU_ONE_EPS)
+@example(c=BUNDLED_C, lam=10.0, tau=1.0 + 2 * TAU_ONE_EPS)
+def test_scaling_consumption_scales_the_certain_utility(c, lam, tau):
+    # U(lam c) = ((lam c)^(1-tau) - 1)/(1-tau) = lam^(1-tau) U(c) + U(lam). Each
+    # utility rounds by about eps * utility_rounding: the worst of 60,000
+    # generated cases was 0.63 of the three terms' sum, a margin of 3.2.
+    factor = power_factor(lam, tau)
+    scaled = factor * crra_utility(c, tau) + crra_utility(lam, tau)
+    scale = (utility_rounding(lam * c, tau) + factor * utility_rounding(c, tau)
+             + utility_rounding(lam, tau))
+    assert abs(crra_utility(lam * c, tau) - scaled) <= 2 * EPS * scale
+
+
+@PROPERTY_SETTINGS
+@given(
+    c=st.floats(1e-2, 1e4),
+    scenarios=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=16),
+    beta=st.floats(0.01, 1.5),
+    lam=st.floats(1e-2, 1e2),
+    tau=CRRA_TAUS,
+)
+@example(c=BUNDLED_C, scenarios=growth_series(BUNDLED_SERIES).r_e, beta=0.9581, lam=2.0,
+         tau=1.0319)
+@example(c=BUNDLED_C, scenarios=growth_series(BUNDLED_SERIES).r_f, beta=0.9581, lam=10.0,
+         tau=1.0 + 0.5 * TAU_ONE_EPS)
+def test_scaling_consumption_scales_the_uncertain_utility(c, scenarios, beta, lam, tau):
+    # beta * mean U(lam c s) = lam^(1-tau) beta * mean U(c s) + beta U(lam),
+    # term by term from the certain relation. The mean adds its summation's
+    # rounding: the worst of 60,000 generated cases (1 to 16 scenarios) was
+    # 1.28 of the terms' mean rounding, a margin of 3.1; on the bundled 89
+    # growth factors it was 0.98.
+    factor = power_factor(lam, tau)
+    scaled = factor * uncertain_utility(c, scenarios, beta, tau) + beta * crra_utility(lam, tau)
+    scale = beta * (
+        sum(utility_rounding(lam * c * s, tau) for s in scenarios) / len(scenarios)
+        + factor * sum(utility_rounding(c * s, tau) for s in scenarios) / len(scenarios)
+        + utility_rounding(lam, tau)
+    )
+    assert abs(uncertain_utility(lam * c, scenarios, beta, tau) - scaled) <= 4 * EPS * scale
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -23,6 +23,7 @@ from helpers import (
     PROPERTY_SETTINGS,
     REF_PARAMS,
     effective_gap,
+    fd_jacobian,
     log_points,
     moment_sets,
     random_moments,
@@ -46,17 +47,6 @@ def transcribed_residuals(m: MomentSet, p: ModelParams, options: ModelOptions):
     r4 = (Rm - F) - (w - d + tau * m.sigma2_x)
     r5 = Rm - (X - b - d - (1 - tau) * m.mu_x - 0.5 * (1 - tau) ** 2 * m.sigma2_x)
     return np.array([r2, r3, r4, r5])
-
-
-def fd_jacobian(m, log_params, options, step=1e-6):
-    jac = np.zeros((4, 4))
-    for j in range(4):
-        hi = log_params.copy()
-        lo = log_params.copy()
-        hi[j] += step
-        lo[j] -= step
-        jac[:, j] = (residual_array(m, hi, options) - residual_array(m, lo, options)) / (2 * step)
-    return jac
 
 
 class TestResidualVector:

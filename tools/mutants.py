@@ -115,6 +115,22 @@ MUTANTS = (
            '("equity", sfom_equity, growth.r_e),\n        ("risk-free", sfom_riskfree, growth.r_f),',
            '("equity", sfom_equity, growth.r_f),\n        ("risk-free", sfom_riskfree, growth.r_e),',
            ("tests/test_cli.py::TestClassifyGolden",)),
+    Mutant("label-boundary", "src/sfm/classify.py",
+           "if uncertain < certain:",
+           "if uncertain <= certain:",
+           ("tests/test_acceptance.py::test_criterion_8_classification_golden",)),
+    Mutant("mean-identity-dropped", "src/sfm/classify.py",
+           "(0.0 + _pairwise_sum(values))",
+           "_pairwise_sum(values)",
+           ("tests/test_classify.py",)),
+    Mutant("crra-naive-power", "src/sfm/classify.py",
+           "math.expm1(one_m_tau * math.log(c))",
+           "(c ** one_m_tau - 1.0)",
+           ("tests/test_metamorphic.py::test_scaling_consumption_scales_the_certain_utility",)),
+    Mutant("uncertain-beta-dropped", "src/sfm/classify.py",
+           "return beta * _mean(",
+           "return _mean(",
+           ("tests/test_metamorphic.py::test_scaling_consumption_scales_the_uncertain_utility",)),
     Mutant("freeze-always", "src/sfm/cli.py",
            "    if fresh:\n        # Shutdown runs",
            "    if True:\n        # Shutdown runs",
@@ -137,6 +153,10 @@ MUTANTS = (
            "    if not math.isfinite(args.tau_max - args.tau_min):",
            "    if False:",
            ("tests/test_cli.py::TestExitCodes",)),
+    Mutant("moments-runs-solve", "src/sfm/cli.py",
+           "set_defaults(run=_cmd_moments)",
+           "set_defaults(run=_cmd_solve)",
+           ("tests/test_cli.py::TestMomentsCommand",)),
     Mutant("bom-not-skipped", "src/sfm/dataset.py",
            'encoding="utf-8-sig"',
            'encoding="utf-8"',
@@ -145,6 +165,10 @@ MUTANTS = (
            "lineno = reader.line_num ",
            "lineno = reader.line_num - 1 ",
            ("tests/test_dataset.py::TestLoadSeries",)),
+    Mutant("utf8-error-unmapped", "src/sfm/dataset.py",
+           "except UnicodeDecodeError",
+           "except UnicodeEncodeError",
+           ("tests/test_cli.py::TestExitCodes::test_invalid_data_file_is_data_error",)),
     Mutant("growth-through-logs", "src/sfm/dataset.py",
            "x = tuple(cur / prev for prev, cur",
            "x = tuple(math.exp(math.log(cur) - math.log(prev)) for prev, cur",
@@ -166,6 +190,11 @@ MUTANTS = (
            "            yield zx[lo:hi], z_perp[:hi - lo]\n",
            "            if index or lo:\n                yield zx[lo:hi], z_perp[:hi - lo]\n",
            ("tests/test_mc.py::TestSamplePairs::test_chunked_accumulation_matches_direct_numpy",)),
+    Mutant("bundled-rho-data", "src/sfm/mc.py",
+           "0.15573663581568173, 0.4\n",
+           "0.15573663581568173, 0.39999999999999997\n",
+           ("tests/test_mc.py::TestValidateIdentities::"
+            "test_bundled_rho_is_the_target_one_ulp_above_the_data",)),
 )
 
 
