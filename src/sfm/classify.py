@@ -18,9 +18,6 @@ from typing import Sequence
 from .dataset import MarketSeries, growth_series
 from .errors import DomainError
 
-# Below this distance from tau = 1 the power utility switches to its ln limit.
-TAU_ONE_EPS = 1e-8
-
 
 @dataclass(frozen=True)
 class InvestorReport:
@@ -47,7 +44,7 @@ def crra_utility(c: float, tau: float) -> float:
     if not math.isfinite(tau):
         raise DomainError(f"tau must be a finite number, got {tau}")
     one_m_tau = 1.0 - tau
-    if abs(one_m_tau) < TAU_ONE_EPS:
+    if one_m_tau == 0.0:
         return math.log(c)
     # expm1 keeps the limit tau -> 1 accurate; the naive power form cancels.
     return math.expm1(one_m_tau * math.log(c)) / one_m_tau

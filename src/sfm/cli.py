@@ -47,22 +47,13 @@ class _Parser(argparse.ArgumentParser):
     other word that starts with "-", such as -1e3, for a flag.
     """
 
-    def __init__(self, **kwargs):
-        self.value_flags = set()        # before super(), which adds --help
-        super().__init__(**kwargs)
-
-    def add_argument(self, *flags, **kwargs):
-        action = super().add_argument(*flags, **kwargs)
-        if action.nargs is None:        # takes one value, unlike --help
-            self.value_flags.update(flags)
-        return action
-
     def parse_known_args(self, args, namespace=None):
         joined = []
         for arg in args:
-            # The word before: a flag that takes a value, or an abbreviation of one.
+            # The word before: a flag that takes one value (unlike --help), or its abbreviation.
             flag = joined[-1] if joined else ""
-            takes_value = flag[2:] and any(f.startswith(flag) for f in self.value_flags)
+            takes_value = flag[2:] and any(f.startswith(flag) and action.nargs is None
+                                           for f, action in self._option_string_actions.items())
             if takes_value and re.match(r"-\.?\d", arg):
                 joined[-1] += f"={arg}"
             else:

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from sfm import ModelOptions, ModelParams, MomentSet, lognormality_gap
+from sfm import ModelOptions, ModelParams, MomentSet, crra_utility, lognormality_gap
 from sfm.model import residual_array
 
 # Reference calibration this toolkit aims to reproduce (published values).
@@ -160,3 +160,12 @@ log_points = st.tuples(
 def effective_gap(m: MomentSet, options: ModelOptions) -> float:
     """r2 + r4 - r5 for every parameter point: the gap, or 0 with implied lnEx."""
     return 0.0 if options.lnex_mode == "lognormal_implied" else lognormality_gap(m)
+
+
+def utility_rounding(c: float, tau: float) -> float:
+    """How far crra_utility(c, tau) may round, in units of eps.
+
+    |U| for expm1 and the division, c^(1-tau) |ln c| for the rounded exponent
+    (1 - tau) ln c, and c^(1-tau) for a rounded c.
+    """
+    return abs(crra_utility(c, tau)) + c ** (1.0 - tau) * (1.0 + abs(math.log(c)))

@@ -1,4 +1,7 @@
+import json
 import math
+from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,13 @@ from sfm import (
     build_reports,
     classify_attitude,
     crra_utility,
+    load_series,
     uncertain_utility,
 )
 from sfm.classify import _mean
 from sfm.errors import DomainError
 
+from conftest import DATA_PATH
 from helpers import (
     PROPERTY_SETTINGS,
     REF_BETA,
@@ -21,11 +26,27 @@ from helpers import (
     REF_TAU,
     REF_UNCERTAIN_EQUITY,
     REF_UNCERTAIN_RISKFREE,
+    utility_rounding,
 )
+
+EPS = np.finfo(float).eps
+BUNDLED_C = load_series(DATA_PATH).consumption_of(1978)
+GOLDEN_CLASSIFY = Path(__file__).parent / "data" / "classify_golden.json"
 
 
 def invert_crra(v: float, tau: float) -> float:
     return (1.0 + (1.0 - tau) * v) ** (1.0 / (1.0 - tau))
+
+
+def exact_crra(c: float, tau: float) -> Decimal:
+    """(c^(1-tau) - 1) / (1-tau) for the floats c and tau to 60 digits; ln c at tau = 1.
+
+    c^(1-tau) - 1 cancels at most about 32 of them over c in [1e-2, 1e4].
+    """
+    with localcontext(Context(prec=60)):
+        ln_c = Decimal(c).ln()
+        one_m_tau = 1 - Decimal(tau)
+        return ln_c if one_m_tau == 0 else ((one_m_tau * ln_c).exp() - 1) / one_m_tau
 
 
 class TestCrraUtility:
@@ -44,12 +65,46 @@ class TestCrraUtility:
         assert c == pytest.approx(3340.0, abs=0.1)
         assert crra_utility(c, REF_TAU) == pytest.approx(REF_CERTAIN_UTILITY, abs=1e-6)
 
+    @PROPERTY_SETTINGS
+    @given(c=st.floats(1e-2, 1e4),
+           tau=st.floats(-3.0, 6.0) | st.floats(1.0 - 2e-8, 1.0 + 2e-8)
+           | st.floats(1.0 - 1e-12, 1.0 + 1e-12))
+    @example(c=BUNDLED_C, tau=1.0)
+    @example(c=BUNDLED_C, tau=0.9999999899)
+    @example(c=BUNDLED_C, tau=0.9999999901)
+    def test_matches_an_exact_reference(self, c, tau):
+        # Within 2 eps of utility_rounding's scale at every tau, tau near 1
+        # included: the worst of 20,000 generated cases (c log-uniform, tau from
+        # the three ranges) was 0.79, a margin of 2.5. An ln c band around
+        # tau = 1 errs by |1 - tau| ln(c)^2 / 2, 3.3e-7 at 0.9999999901.
+        error = abs(Decimal(crra_utility(c, tau)) - exact_crra(c, tau))
+        assert error <= 2 * EPS * utility_rounding(c, tau)
+
+    def test_golden_case_near_tau_one_matches_an_exact_reference(self, bundled_series,
+                                                                  bundled_growth):
+        # The golden 1889/tau=1.00000001 rows take the power form, 1 - tau being
+        # -9.99999993922529e-09. Measured: 0.11 (certain), 0.21 and 0.12
+        # (uncertain) of the bounds' scales.
+        case = json.loads(GOLDEN_CLASSIFY.read_text())["1889/tau=1.00000001"]
+        args = dict(zip(case["argv"][::2], case["argv"][1::2]))
+        beta, tau = float(args["--beta"]), float(args["--tau"])
+        c = bundled_series.consumption_of(int(args["--year"]))
+        reports = json.loads(case["json"])["reports"]
+        for report, scenarios in zip(reports, (bundled_growth.r_e, bundled_growth.r_f)):
+            error = abs(Decimal(report["certain_utility"]) - exact_crra(c, tau))
+            assert error <= 2 * EPS * utility_rounding(c, tau)
+            with localcontext(Context(prec=60)):
+                exact = sum(exact_crra(c * s, tau) for s in scenarios) / len(scenarios)
+                error = abs(Decimal(report["uncertain_utility"]) - Decimal(beta) * exact)
+            scale = beta * sum(utility_rounding(c * s, tau) for s in scenarios) / len(scenarios)
+            assert error <= 4 * EPS * scale
+
     def test_continuity_at_tau_one(self):
         for c in np.geomspace(0.1, 1e4, 60):
             for tau in (1.0 - 1e-9, 1.0 + 1e-9):
                 assert abs(crra_utility(float(c), tau) - math.log(c)) <= 1e-6
-            # Outside the switch window the genuine power form must stay within
-            # its second-order Taylor distance eps*ln(c)^2/2 from the limit.
+            # Off tau = 1 the power form must stay within its second-order
+            # Taylor distance eps*ln(c)^2/2 from the ln limit.
             for eps in (1e-7, -1e-7):
                 taylor = abs(eps) * math.log(c) ** 2 / 2
                 gap = abs(crra_utility(float(c), 1.0 + eps) - math.log(c))

@@ -239,8 +239,12 @@ class TestExitCodes:
         assert spaced[0] == code
         assert spaced == run_main(joined, monkeypatch, capsys)
 
-    def test_help_is_exit_0(self, monkeypatch, capsys):
-        code, out, err = run_main(["--help"], monkeypatch, capsys)
+    # The negative-value join never attaches to --help, which takes no value.
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help", "-5"],
+                                      ["solve", "--he", "-1e3"]],
+                             ids=["help", "help-then-negative", "abbreviation-then-exponent"])
+    def test_help_is_exit_0(self, argv, monkeypatch, capsys):
+        code, out, err = run_main(argv, monkeypatch, capsys)
         assert (code, err) == (0, "")
         assert out.startswith("usage: sfm")
 

@@ -127,6 +127,10 @@ MUTANTS = (
            "math.expm1(one_m_tau * math.log(c))",
            "(c ** one_m_tau - 1.0)",
            ("tests/test_metamorphic.py::test_scaling_consumption_scales_the_certain_utility",)),
+    Mutant("tau-one-band", "src/sfm/classify.py",
+           "if one_m_tau == 0.0:",
+           "if abs(one_m_tau) < 1e-8:",
+           ("tests/test_classify.py::TestCrraUtility::test_matches_an_exact_reference",)),
     Mutant("uncertain-beta-dropped", "src/sfm/classify.py",
            "return beta * _mean(",
            "return _mean(",
@@ -140,6 +144,10 @@ MUTANTS = (
            r'r"-\d"',
            ("tests/test_cli.py::TestExitCodes::"
             "test_negative_value_in_exponent_form_reads_as_with_equals",)),
+    Mutant("join-onto-help", "src/sfm/cli.py",
+           " and action.nargs is None",
+           "",
+           ("tests/test_cli.py::TestExitCodes::test_help_is_exit_0",)),
     Mutant("sigpipe-default-dropped", "src/sfm/cli.py",
            "signal.signal(signal.SIGPIPE, signal.SIG_DFL)",
            "pass",
