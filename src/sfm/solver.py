@@ -3,13 +3,14 @@
 The Jacobian of the residual system has rank <= 3 at every point (the rows
 satisfy row2 + row4 - row5 = 0 identically), so undamped Newton is undefined
 and the "solution" of the four equations is a one-parameter family at best.
-Levenberg-style damping on the normal equations keeps every step finite and
-guarantees monotone residual norms. A solve evaluates its trial points from
-one lookup of the model's coefficient table, one product per point for its
+Levenberg-style damping on the normal equations guarantees monotone residual
+norms: a worse trial is rejected, and so is a nan one, which an exactly
+singular damped system gives. A solve evaluates its trial points from one
+lookup of the model's coefficient table, one product per point for its
 [A | c] and residuals, and an accepted trial's [A | c] becomes the first
 three columns of the Jacobian that the next iteration, or the end point's
-rank report, uses. For fixed tau the residuals are linear in
-(b, w, d), which gives two useful exact tools:
+rank report, uses. For fixed tau the residuals are linear in (b, w, d),
+which gives two useful exact tools:
 
 * the least-squares floor: with r5 = r2 + r4 - gap forced by the structural
   identity and (r2, r3, r4) freely reachable, the optimal residual vector is
@@ -55,6 +56,7 @@ _RESIDUAL_TOLERANCE = 1e-12
 _STEP_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 500
 _MAX_LOG = math.log(np.finfo(float).max)     # math.exp overflows above it
+_gesv = np.linalg._umath_linalg.solve1       # np.linalg.solve's LAPACK gufunc, unwrapped
 
 # Grid values per batched manifold solve; bounds the (n, 4, 3) temporaries.
 MANIFOLD_BLOCK = 256
@@ -145,9 +147,10 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     coefficient table, and an accepted trial's [A | c] becomes the first
     three columns of its Jacobian, with the bits of evaluating it afresh: a
     point's Jacobian is built once, when the point is accepted.
-    Convergence reasons: "residual" (norm below tolerance), "step" (no
-    accepted step above the step tolerance, including damping exhaustion),
-    "max-iter".
+    An exactly singular damped system gives a nan step, rejected like a
+    worse one. Convergence reasons: "residual" (norm below tolerance), "step"
+    (no accepted step above the step tolerance, including damping
+    exhaustion), "max-iter".
 
     Raises:
         SolverError: naming the end point's tau, if its residual norm is not
@@ -179,11 +182,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
 
             while lam <= _DAMPING_MAX:
                 np.add(jtj_diagonal, lam, out=diagonal)
-                try:
-                    step = np.linalg.solve(damped, neg_grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
+                step = _gesv(damped, neg_grad, signature="dd->d")
                 x_new = x + step
                 ac, r_new = _evaluate(table, x_new)
                 norm_new = math.sqrt(r_new @ r_new)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -182,6 +183,58 @@ class TestSolve:
         with pytest.raises(SolverError) as raised:
             solve(bundled_moments, SolverConfig(initial=bad))
         assert str(raised.value) == END_POINT_FAILURES[tau0]
+
+
+class TestDampedStep:
+    """solve's damped trial step is numpy's gesv gufunc, called without np.linalg.solve."""
+
+    def test_step_equals_np_linalg_solve_bitwise(self, bundled_growth):
+        # The damped normal equations at seeded points under all 8 switch
+        # settings, at every damping from _DAMPING_MIN to _DAMPING_MAX.
+        rng = np.random.default_rng(41)
+        dampings = [10.0 ** e for e in range(-14, 15)]
+        for variance in ("sample", "population"):
+            m = estimate_moments(bundled_growth, variance)
+            for options in ALL_OPTIONS:
+                for _ in range(4):
+                    x = random_params(rng).log_vector()
+                    r, jac = residual_array(m, x, options), jacobian_array(m, x, options)
+                    neg_grad = -(jac.T @ r)
+                    for lam in dampings:
+                        damped = jac.T @ jac + lam * np.eye(4)
+                        with np.errstate(over="ignore", invalid="ignore"):  # as in solve
+                            step = solver._gesv(damped, neg_grad, signature="dd->d")
+                        assert step.tobytes() == np.linalg.solve(damped, neg_grad).tobytes()
+
+    @pytest.mark.parametrize("damped", [
+        [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 0]] * 4,
+    ], ids=["rank-3", "zero"])
+    def test_singular_system_gives_an_all_nan_step_without_a_warning(self, damped):
+        damped, neg_grad = np.array(damped, dtype=float), np.ones(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(damped, neg_grad)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            step = solver._gesv(damped, neg_grad, signature="dd->d")
+        assert step.shape == (4,) and np.isnan(step).all()
+
+    def test_a_nan_trial_is_a_rejected_trial(self, bundled_moments, monkeypatch):
+        # A nan first trial, as an exactly singular damped system gives, is
+        # rejected and the damping grows tenfold: the solve is then the one
+        # that starts at ten times the initial damping.
+        plain, gesv, calls = solve(bundled_moments), solver._gesv, []
+
+        def first_trial_nan(damped, neg_grad, **kwargs):
+            calls.append(None)
+            step = gesv(damped, neg_grad, **kwargs)
+            return np.full_like(step, np.nan) if len(calls) == 1 else step
+
+        monkeypatch.setattr(solver, "_gesv", first_trial_nan)
+        nan_first = solve(bundled_moments)
+        monkeypatch.setattr(solver, "_gesv", gesv)
+        monkeypatch.setattr(solver, "_DAMPING_INIT", 10 * solver._DAMPING_INIT)
+        assert nan_first == solve(bundled_moments) != plain
 
 
 GOLDEN_STARTS = json.loads(

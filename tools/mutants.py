@@ -103,6 +103,11 @@ MUTANTS = (
            "norm_new, _jacobian_from(table, x_new, ac)",
            "norm_new, _jacobian_from(table, x, ac)",
            ("tests/test_solver.py::TestSolve",)),
+    Mutant("nan-trial-accepted", "src/sfm/solver.py",
+           "if norm_new <= norm:",
+           "if not norm_new > norm:",
+           ("tests/test_solver.py::TestDampedStep::test_a_nan_trial_is_a_rejected_trial",
+            "tests/test_solver.py::TestSolve")),
     Mutant("floor-sqrt2", "src/sfm/solver.py",
            "return abs(lognormality_gap(m)) / math.sqrt(3.0)",
            "return abs(lognormality_gap(m)) / math.sqrt(2.0)",
