@@ -188,9 +188,17 @@ def lognormal_power_cov(a: float, b: float, mu_x: float, sigma_x: float,
 
     Equals E(X^a) E(Y^b) (exp(a*b*rho*sigma_x*sigma_y) - 1) with
     E(X^a) = exp(a*mu_x + a^2*sigma_x^2/2) and likewise for Y.
+
+    Raises:
+        DomainError: naming (a, b) if E(X^a) or E(Y^b) leaves the float range.
     """
-    ex_a = math.exp(a * mu_x + 0.5 * a * a * sigma_x * sigma_x)
-    ey_b = math.exp(b * mu_y + 0.5 * b * b * sigma_y * sigma_y)
+    try:
+        ex_a = math.exp(a * mu_x + 0.5 * a * a * sigma_x * sigma_x)
+        ey_b = math.exp(b * mu_y + 0.5 * b * b * sigma_y * sigma_y)
+    except OverflowError:
+        raise DomainError(
+            f"power (a, b) = ({a!r}, {b!r}): E(X^a) or E(Y^b) leaves the float range"
+        ) from None
     return ex_a * ey_b * math.expm1(a * b * rho * sigma_x * sigma_y)
 
 

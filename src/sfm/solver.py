@@ -223,14 +223,13 @@ def trace_manifold(m: MomentSet, tau_grid: Iterable[float],
     The leftover residual is r5 = -gap by the structural identity. The 3x3
     subsystem has determinant k = tau*rho*sigma_x*sigma_r; k = 0 (tau = 0 or
     rho = 0) makes it singular. The grid is solved in blocks of
-    MANIFOLD_BLOCK values, one batched solve per block, straight into the
-    columns of the returned Manifold.
+    MANIFOLD_BLOCK values, one batched gesv call per block, straight into
+    the columns of the returned Manifold.
 
     Raises:
-        SingularSubsystemError: naming the first grid point whose solve meets
-            an exact zero pivot: k = 0, or k so small that 1 +- k rounds to 1.
-        OverflowError: naming the first grid point whose solution or
-            residuals leave the finite range.
+        SingularSubsystemError: naming the first grid point that is not
+            finite, if its 3x3 determinant is 0 (k = 0, or 1 +- k rounds to 1).
+        OverflowError: naming that point otherwise.
     """
     taus = np.fromiter(tau_grid, dtype=float)
     n = len(taus)
@@ -242,21 +241,18 @@ def trace_manifold(m: MomentSet, tau_grid: Iterable[float],
         tau = taus[rows]
         with np.errstate(over="ignore", invalid="ignore"):
             a, c = affine_system(m, tau, options)
-            try:
-                v = np.linalg.solve(a[:, :3], -c[:, :3, None])
-            except np.linalg.LinAlgError:   # k = 0, or 1 +- k rounds to 1: a zero pivot
+            v = _gesv(a[:, :3], -c[:, :3], signature="dd->d")   # a zero pivot gives a nan row
+            r = np.add((a @ v[..., None])[..., 0], c, out=residuals[rows])
+            f = np.exp(v, out=factors[rows])
+            finite = np.isfinite(r).all(axis=1) & np.isfinite(f).all(axis=1)
+            if not finite.all():
+                i = np.argmin(finite)
                 # A's r3 coefficient on b is k, the determinant of rows r2-r4.
-                i = np.flatnonzero(np.linalg.det(a[:, :3]) == 0.0)[0]
-                raise SingularSubsystemError(
-                    f"subsystem in (b, w, d) is singular at tau = {tau[i]} (k = {a[i, 1, 0]})"
-                ) from None
-            r = np.add((a @ v)[..., 0], c, out=residuals[rows])
-            f = np.exp(v[..., 0], out=factors[rows])
-        finite = np.isfinite(r).all(axis=1) & np.isfinite(f).all(axis=1)
-        if not finite.all():
-            raise OverflowError(
-                f"manifold point at tau = {tau[np.argmin(finite)]} is not finite"
-            )
+                if np.linalg.det(a[i, :3]) == 0.0:
+                    raise SingularSubsystemError(
+                        f"subsystem in (b, w, d) is singular at tau = {tau[i]} (k = {a[i, 1, 0]})"
+                    )
+                raise OverflowError(f"manifold point at tau = {tau[i]} is not finite")
         norms[rows] = np.linalg.norm(r, axis=1)
     for column in (taus, factors, residuals, norms):
         column.flags.writeable = False

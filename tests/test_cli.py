@@ -205,6 +205,16 @@ class TestExitCodes:
             3, "", f"subsystem in (b, w, d) is singular at {at}\n"
         )
 
+    @pytest.mark.parametrize("steps", ["3", "513"])
+    def test_overflowing_manifold_names_its_first_tau(self, steps, monkeypatch, capsys):
+        # The grid holds tau = 0.0 (k = 0) too, in the first block only when
+        # steps = 3, but the first grid point to fail is -1e200.
+        argv = ["manifold", "--data", DATA, "--tau-min=-1e200", "--tau-max", "1e200",
+                "--steps", steps]
+        assert run_main(argv, monkeypatch, capsys) == (
+            3, "", "manifold point at tau = -1e+200 is not finite\n"
+        )
+
     @pytest.mark.parametrize("tau_min,tau_max,steps", [
         ("-1e308", "1e308", "3"),
         ("1e308", "-1e308", "1"),

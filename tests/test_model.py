@@ -265,6 +265,16 @@ class TestLognormalPowerCov:
             expected, rel=1e-14
         )
 
+    @pytest.mark.parametrize("a,b", [(-1100.0, 1.0), (1.0, 500.0)], ids=["x-moment", "y-moment"])
+    def test_overflowing_moment_is_a_domain_error_naming_the_power(self, a, b):
+        # E(X^-1100) = exp(-1100*0.02 + 1100^2*0.04^2/2) = exp(946) overflows, and so
+        # does E(Y^500) = exp(500*0.05 + 500^2*0.15^2/2).
+        with pytest.raises(DomainError) as raised:
+            lognormal_power_cov(a, b, 0.02, 0.04, 0.05, 0.15, 0.4)
+        assert str(raised.value) == (
+            f"power (a, b) = ({a!r}, {b!r}): E(X^a) or E(Y^b) leaves the float range"
+        )
+
 
 def mrs_return_cov(m: MomentSet, tau: float) -> float:
     """cov(x^-tau, R_e), the marginal rate of substitution against the equity return."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sfm import (
     CANONICAL_INITIAL,
+    DomainError,
     Manifold,
     ManifoldPoint,
     ModelOptions,
@@ -363,6 +364,16 @@ class TestTraceManifold:
         with pytest.raises(SingularSubsystemError, match=r"tau = 0\.0 "):
             trace_manifold(bundled_moments, grid)
 
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    def test_first_failing_point_is_named_whatever_the_block(self, bundled_moments,
+                                                             monkeypatch, block):
+        monkeypatch.setattr(solver, "MANIFOLD_BLOCK", block)
+        for n in (3, 513):   # tau = 0.0 falls in the first 256-row block only at n = 3
+            with pytest.raises(OverflowError, match=r"tau = -1e\+200 "):
+                trace_manifold(bundled_moments, np.linspace(-1e200, 1e200, n))
+        with pytest.raises(SingularSubsystemError, match=r"tau = 0\.0 \(k = 0\.0\)"):
+            trace_manifold(bundled_moments, [1.0] * 300 + [0.0, 1e200])
+
     def test_overflowing_point_is_named(self, bundled_moments):
         with pytest.raises(OverflowError, match=r"tau = 1e\+200 "):
             trace_manifold(bundled_moments, [1.0, 1e200, 2.0])
@@ -493,6 +504,16 @@ class TestRankDiagnostics:
         assert report.gap == pytest.approx(-1.4575914006558985e-05, rel=1e-9)
         assert report.residual_floor == pytest.approx(8.415407875371668e-06, rel=1e-9)
         assert report.euler_gap == pytest.approx(0.005516218260151121, rel=1e-9)
+
+    @pytest.mark.parametrize("tau", [1100.0, -1100.0])
+    def test_far_tau_names_the_power_whose_moment_overflows(self, bundled_moments, tau):
+        # euler_gap's cov(x^-tau, R_e) needs E(x^-tau), which overflows here.
+        with pytest.raises(DomainError, match=rf"power \(a, b\) = \({-tau!r}, 1\.0\)"):
+            rank_diagnostics(bundled_moments, ModelParams(0.99, 1.0, 1.0, tau))
+
+    def test_euler_gap_stays_finite_below_the_overflow(self, bundled_moments):
+        report = rank_diagnostics(bundled_moments, ModelParams(0.99, 1.0, 1.0, 1060.0))
+        assert report.euler_gap == 1.5221054745958482e+302
 
     def test_canonical_initial_guess_value(self):
         assert CANONICAL_INITIAL == ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=2.0)

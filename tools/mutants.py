@@ -79,13 +79,21 @@ MUTANTS = (
            "math.log(self.omega), math.log(self.delta)",
            "math.log(self.delta), math.log(self.omega)",
            ("tests/test_model.py::TestResidualVector::test_reference_point_regression",)),
+    Mutant("power-cov-overflow-untyped", "src/sfm/model.py",
+           "    except OverflowError:\n        raise DomainError(",
+           "    except ZeroDivisionError:\n        raise DomainError(",
+           ("tests/test_model.py::TestLognormalPowerCov",)),
     Mutant("table-writeable", "src/sfm/model.py",
            "    table.flags.writeable = False\n",
            "",
            ("tests/test_model.py",)),
     Mutant("manifold-log-scale", "src/sfm/solver.py",
-           "f = np.exp(v[..., 0], out=factors[rows])",
-           "f = np.exp(v[..., 0] * (1 + 1e-14), out=factors[rows])",
+           "f = np.exp(v, out=factors[rows])",
+           "f = np.exp(v * (1 + 1e-14), out=factors[rows])",
+           ("tests/test_solver.py::TestTraceManifold",)),
+    Mutant("manifold-singular-test-inverted", "src/sfm/solver.py",
+           "if np.linalg.det(a[i, :3]) == 0.0:",
+           "if np.linalg.det(a[i, :3]) != 0.0:",
            ("tests/test_solver.py::TestTraceManifold",)),
     Mutant("manifold-columns-writeable", "src/sfm/solver.py",
            "        column.flags.writeable = False\n",
