@@ -84,8 +84,6 @@ def uncertain_utility(c_now: float, scenarios: Sequence[float],
     scenarios = [float(s) for s in scenarios]
     if not scenarios:
         raise DomainError("scenario set must be non-empty")
-    if not c_now > 0:
-        raise DomainError("consumption must be positive")
     if not all(s > 0 for s in scenarios):
         raise DomainError("scenarios must be positive gross factors")
     if not math.isfinite(beta):

@@ -65,8 +65,6 @@ def estimate_moments(growth: GrowthSeries, convention: str = "sample") -> Moment
         DegenerateSeriesError: if ln x or ln R_e has zero variance, in which
             case the correlation is undefined.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown variance convention {convention!r}")
     if len(growth) < 2:
         raise DataError("need at least 2 growth observations")
     x, r_e, r_f = (np.asarray(c, dtype=np.float64) for c in (growth.x, growth.r_e, growth.r_f))

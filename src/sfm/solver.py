@@ -57,6 +57,7 @@ _STEP_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 500
 _MAX_LOG = math.log(np.finfo(float).max)     # math.exp overflows above it
 _gesv = np.linalg._umath_linalg.solve1       # np.linalg.solve's LAPACK gufunc, unwrapped
+_IDENTITY = np.eye(4)
 
 # Grid values per batched manifold solve; bounds the (n, 4, 3) temporaries.
 MANIFOLD_BLOCK = 256
@@ -176,13 +177,10 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 iterations -= 1
                 break
             neg_grad = -(jac.T @ r)
-            damped = jac.T @ jac
-            diagonal = damped.ravel()[::5]      # a writable view of the diagonal
-            jtj_diagonal = diagonal.copy()
+            jtj = jac.T @ jac
 
             while lam <= _DAMPING_MAX:
-                np.add(jtj_diagonal, lam, out=diagonal)
-                step = _gesv(damped, neg_grad, signature="dd->d")
+                step = _gesv(jtj + lam * _IDENTITY, neg_grad, signature="dd->d")
                 x_new = x + step
                 ac, r_new = _evaluate(table, x_new)
                 norm_new = math.sqrt(r_new @ r_new)

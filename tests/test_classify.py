@@ -150,7 +150,7 @@ class TestUncertainUtility:
 
     @pytest.mark.parametrize("c_now", [0.0, -2.0])
     def test_non_positive_consumption_rejected(self, c_now):
-        with pytest.raises(DomainError, match="consumption"):
+        with pytest.raises(DomainError, match="consumption must be positive"):
             uncertain_utility(c_now, [1.0, 1.1], beta=1.0, tau=1.0)
 
     def test_empty_scenarios_rejected(self):

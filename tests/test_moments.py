@@ -100,7 +100,7 @@ class TestEstimateMoments:
         assert population.mean_x == sample.mean_x
 
     def test_unknown_convention_rejected(self, bundled_growth):
-        with pytest.raises(ValueError, match="convention"):
+        with pytest.raises(ValueError, match="unknown variance convention 'bessel'"):
             estimate_moments(bundled_growth, "bessel")
 
     def test_bundled_against_spreadsheet_oracle(self, bundled_growth):

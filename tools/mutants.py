@@ -116,6 +116,10 @@ MUTANTS = (
            "if not norm_new > norm:",
            ("tests/test_solver.py::TestDampedStep::test_a_nan_trial_is_a_rejected_trial",
             "tests/test_solver.py::TestSolve")),
+    Mutant("damping-dropped", "src/sfm/solver.py",
+           "jtj + lam * _IDENTITY",
+           "jtj + _IDENTITY",
+           ("tests/test_solver.py::TestSolveStartsGolden",)),
     Mutant("floor-sqrt2", "src/sfm/solver.py",
            "return abs(lognormality_gap(m)) / math.sqrt(3.0)",
            "return abs(lognormality_gap(m)) / math.sqrt(2.0)",
@@ -140,6 +144,11 @@ MUTANTS = (
            "math.expm1(one_m_tau * math.log(c))",
            "(c ** one_m_tau - 1.0)",
            ("tests/test_metamorphic.py::test_scaling_consumption_scales_the_certain_utility",)),
+    Mutant("crra-zero-consumption", "src/sfm/classify.py",
+           "if not c > 0:",
+           "if c < 0:",
+           ("tests/test_classify.py::TestUncertainUtility::"
+            "test_non_positive_consumption_rejected",)),
     Mutant("tau-one-band", "src/sfm/classify.py",
            "if one_m_tau == 0.0:",
            "if abs(one_m_tau) < 1e-8:",

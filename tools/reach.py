@@ -59,7 +59,9 @@ COMMANDS = (
          "--tau0", "-.5e1")),
     (3, ("solve", *DATA, "--tau0", "1e6")),
     (3, ("solve", *DATA, "--tau0", "1e6", "--format", "json")),
+    (3, ("solve", *DATA, "--tau0", "1e80")),
     (1, ("solve", *DATA, "--beta0", "-1")),
+    (1, ("solve", *DATA, "--tau0", "abc")),
     (0, ("manifold", *DATA, *GRID)),
     (0, ("manifold", *DATA, *GRID, *SWITCHES, "--format", "json")),
     (3, ("manifold", *DATA, "--tau-min", "0", "--tau-max", "1", "--steps", "3")),
@@ -70,6 +72,9 @@ COMMANDS = (
     (1, ("validate", "--draws", "5")),
     (0, CLASSIFY),
     (0, (*CLASSIFY, "--format", "json")),
+    (0, (*CLASSIFY, "--tau", "1")),
+    (0, (*CLASSIFY, "--sfom-equity", "1")),
+    (0, (*CLASSIFY, "--beta", "1.5")),
     (2, tuple("2020" if arg == "1977" else arg for arg in CLASSIFY)),
     (2, ("moments", "--data", "data/no-such-file.csv")),
     (1, ("explode",)),
