@@ -23,9 +23,6 @@ from collections import namedtuple
 
 from .errors import MIN_DRAWS, DataError, SolverError
 
-_PARAM_FMT = "{:.4f}"     # table precision for parameters, as published
-_UTILITY_FMT = "{:.8f}"   # table precision for utilities, as published
-_RESID_FMT = "{:.6e}"
 # The published table's leading columns: the investor and its three parameters.
 _PARAM_HEADER = f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"
 
@@ -176,39 +173,16 @@ def _cmd_moments(args) -> str:
     return to_json({**vars(m), "gap": lognormality_gap(m)})
 
 
+def _fixed(value: float, decimals: int) -> str:
+    """``value`` to the published ``decimals`` places, in e-notation where repr uses an
+    exponent (|value| >= 1e16 or 0 < |value| < 1e-4): there fixed point prints
+    binary-expansion digits or only zeros."""
+    return f"{value:.{decimals}{'e' if 'e' in repr(value) else 'f'}}"
+
+
 def _param_cells(investor: str, stdf: float, sfom: float, crra: float) -> str:
-    """The cells under _PARAM_HEADER."""
-    return f"{investor:<10}  " + "  ".join(
-        f"{_PARAM_FMT.format(value):>8}" for value in (stdf, sfom, crra)
-    )
-
-
-def _solve_table(solution, gap: float) -> str:
-    p = solution.params
-    lines = [
-        _PARAM_HEADER,
-        _param_cells("equity", p.beta, p.delta, p.tau),
-        _param_cells("risk-free", p.beta, p.omega, p.tau),
-    ]
-    r = solution.residuals
-    lines.append("")
-    lines.append(
-        "residuals  "
-        + "  ".join(
-            f"{name} {_RESID_FMT.format(value)}"
-            for name, value in (("r2", r.r2), ("r3", r.r3), ("r4", r.r4), ("r5", r.r5))
-        )
-    )
-    lines.append(f"norm {_RESID_FMT.format(r.norm)}  gap {_RESID_FMT.format(gap)}")
-    lines.append(
-        f"rank {solution.numerical_rank}  converged {solution.converged}  "
-        f"iterations {solution.iterations}"
-    )
-    lines.append(
-        "singular values "
-        + " ".join(_RESID_FMT.format(s) for s in solution.jacobian_singular_values)
-    )
-    return "\n".join(lines)
+    """The cells under _PARAM_HEADER, each to the published 4 places."""
+    return f"{investor:<10}  {_fixed(stdf, 4):>8}  {_fixed(sfom, 4):>8}  {_fixed(crra, 4):>8}"
 
 
 def _cmd_solve(args) -> str:
@@ -233,7 +207,18 @@ def _cmd_solve(args) -> str:
             "converged": solution.converged,
             "iterations": solution.iterations,
         })
-    return _solve_table(solution, gap)
+    p, r = solution.params, solution.residuals
+    return "\n".join([
+        _PARAM_HEADER,
+        _param_cells("equity", p.beta, p.delta, p.tau),
+        _param_cells("risk-free", p.beta, p.omega, p.tau),
+        "",
+        f"residuals  r2 {r.r2:.6e}  r3 {r.r3:.6e}  r4 {r.r4:.6e}  r5 {r.r5:.6e}",
+        f"norm {r.norm:.6e}  gap {gap:.6e}",
+        f"rank {solution.numerical_rank}  converged {solution.converged}  "
+        f"iterations {solution.iterations}",
+        "singular values " + " ".join(f"{s:.6e}" for s in solution.jacobian_singular_values),
+    ])
 
 
 def _cmd_manifold(args) -> str:
@@ -269,22 +254,6 @@ def _cmd_validate(args) -> str:
     return to_json(doc)
 
 
-def _classify_table(reports) -> str:
-    lines = [
-        f"{_PARAM_HEADER}  {'Certain Utility':>16}  {'Uncertain Utility':>18}  "
-        f"{'Type of investor':<26}  {'Year':>5}"
-    ]
-    for rep in reports:
-        label = rep.label[0].upper() + rep.label[1:]
-        lines.append(
-            f"{_param_cells(rep.investor, rep.stdf, rep.sfom, rep.crra)}  "
-            f"{_UTILITY_FMT.format(rep.certain_utility):>16}  "
-            f"{_UTILITY_FMT.format(rep.uncertain_utility):>18}  "
-            f"{label:<26}  {rep.year:>5}"
-        )
-    return "\n".join(lines)
-
-
 def _cmd_classify(args) -> str:
     from .dataset import load_series
 
@@ -297,7 +266,13 @@ def _cmd_classify(args) -> str:
     if args.format == "json":
         rows = [{k: v for k, v in vars(rep).items() if k != "year"} for rep in reports]
         return to_json({"year": args.year, "reports": rows})
-    return _classify_table(reports)
+    return "\n".join([
+        f"{_PARAM_HEADER}  {'Certain Utility':>16}  {'Uncertain Utility':>18}  "
+        f"{'Type of investor':<26}  {'Year':>5}",
+        *(f"{_param_cells(rep.investor, rep.stdf, rep.sfom, rep.crra)}  "
+          f"{_fixed(rep.certain_utility, 8):>16}  {_fixed(rep.uncertain_utility, 8):>18}  "
+          f"{rep.label.capitalize():<26}  {rep.year:>5}" for rep in reports),
+    ])
 
 
 def __getattr__(name):

@@ -348,19 +348,50 @@ class TestSolveCommand:
         argv = ["solve", "--data", DATA, "--format", "json"]
         assert run_ok(argv) == run_ok(argv)
 
+    @staticmethod
+    def table_and_doc(*start):
+        argv = ["solve", "--data", DATA, *start]
+        table = run_ok([*argv, "--format", "table"])
+        return table.splitlines(), json.loads(run_ok([*argv, "--format", "json"]))
+
+    @staticmethod
+    def lines_below_the_parameters(doc):
+        r = doc["residuals"]
+        return [
+            "",
+            f"residuals  r2 {r['r2']:.6e}  r3 {r['r3']:.6e}  r4 {r['r4']:.6e}  r5 {r['r5']:.6e}",
+            f"norm {r['norm']:.6e}  gap {doc['gap']:.6e}",
+            f"rank {doc['rank']}  converged {doc['converged']}  iterations {doc['iterations']}",
+            "singular values " + " ".join(f"{s:.6e}" for s in doc["singular_values"]),
+        ]
+
     def test_table_and_json_agree(self):
-        doc = json.loads(run_ok(["solve", "--data", DATA, "--format", "json"]))
-        table = run_ok(["solve", "--data", DATA, "--format", "table"])
-        lines = table.splitlines()
-        equity = lines[1].split()
-        riskfree = lines[2].split()
-        assert equity[1] == f"{doc['params']['beta']:.4f}"
-        assert equity[2] == f"{doc['params']['delta']:.4f}"
-        assert equity[3] == f"{doc['params']['tau']:.4f}"
-        assert riskfree[2] == f"{doc['params']['omega']:.4f}"
-        norm_line = next(line for line in lines if line.startswith("norm"))
-        assert f"{doc['residuals']['norm']:.6e}" in norm_line
-        assert f"{doc['gap']:.6e}" in norm_line
+        lines, doc = self.table_and_doc()
+        p = doc["params"]
+        assert lines == [
+            "Investor        STDF      SFOM      CRRA",
+            f"equity      {p['beta']:>8.4f}  {p['delta']:>8.4f}  {p['tau']:>8.4f}",
+            f"risk-free   {p['beta']:>8.4f}  {p['omega']:>8.4f}  {p['tau']:>8.4f}",
+            *self.lines_below_the_parameters(doc),
+        ]
+
+    @pytest.mark.parametrize("start", [
+        ["--tau0", "-1e3"], ["--tau0", "3000"], ["--beta0", "1e-200"],
+    ], ids=["tau0=-1e3", "tau0=3000", "beta0=1e-200"])
+    def test_far_start_prints_every_parameter_value(self, start):
+        # These starts end with factors far outside fixed point's reach
+        # (STDF near 1e-86, SFOM near 1e42). The end point depends on the
+        # BLAS kernel, so each cell is read back rather than matched as text.
+        lines, doc = self.table_and_doc(*start)
+        p = doc["params"]
+        rows = {"equity": (p["beta"], p["delta"], p["tau"]),
+                "risk-free": (p["beta"], p["omega"], p["tau"])}
+        assert [line.split()[0] for line in lines[1:3]] == list(rows)
+        for line, values in zip(lines[1:3], rows.values()):
+            for cell, value in zip(line.split()[1:], values, strict=True):
+                assert float(cell) == pytest.approx(value, rel=5e-5), line
+                assert float(cell) != 0.0 or value == 0.0, line
+        assert lines[3:] == self.lines_below_the_parameters(doc)
 
     def test_switches_are_accepted(self):
         for eq3 in ("printed", "rederived"):
@@ -531,6 +562,26 @@ class TestClassifyCommand:
             assert fields[3] == f"{rep['crra']:.4f}"
             assert fields[4] == f"{rep['certain_utility']:.8f}"
             assert fields[5] == f"{rep['uncertain_utility']:.8f}"
+
+    @pytest.mark.parametrize("tau, rows", [
+        ("1e308", [
+            "equity        0.9581    1.0013  1.0000e+308   1.00000000e-308     9.58100000e-309"
+            "  Insufficient risk-loving     1977",
+            "risk-free     0.9581    1.0657  1.0000e+308   1.00000000e-308     9.58100000e-309"
+            "  Insufficient risk-loving     1977",
+        ]),
+        ("1e-7", [
+            "equity        0.9581    1.0013  1.0000e-07     3338.99761267       3422.45719511"
+            "  Sufficient risk-loving       1977",
+            "risk-free     0.9581    1.0657  1.0000e-07     3338.99761267       3224.69402332"
+            "  Insufficient risk-loving     1977",
+        ]),
+    ], ids=["tau=1e308", "tau=1e-7"])
+    def test_value_repr_writes_with_an_exponent_prints_in_e_notation(self, tau, rows):
+        # Fixed point would print 1e308 with 309 digits and 1e-7 and the
+        # utilities near 1e-308 as zeros.
+        table = run_ok(with_value(self.ARGS, "--tau", tau) + ["--format", "table"])
+        assert table.splitlines()[1:] == rows
 
     def test_year_outside_series_is_data_error(self):
         argv = [a if a != "1977" else "2020" for a in self.ARGS]

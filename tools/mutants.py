@@ -187,6 +187,19 @@ MUTANTS = (
            "set_defaults(run=_cmd_moments)",
            "set_defaults(run=_cmd_solve)",
            ("tests/test_cli.py::TestMomentsCommand",)),
+    Mutant("solve-table-r3-r4-swap", "src/sfm/cli.py",
+           "r3 {r.r3:.6e}  r4 {r.r4:.6e}",
+           "r3 {r.r4:.6e}  r4 {r.r3:.6e}",
+           ("tests/test_cli.py::TestSolveCommand::test_table_and_json_agree",)),
+    Mutant("fixed-fallback-dropped", "src/sfm/cli.py",
+           "{'e' if 'e' in repr(value) else 'f'}",
+           "f",
+           ("tests/test_cli.py::TestClassifyCommand::"
+            "test_value_repr_writes_with_an_exponent_prints_in_e_notation",)),
+    Mutant("classify-crra-decimals", "src/sfm/cli.py",
+           "_fixed(crra, 4)",
+           "_fixed(crra, 3)",
+           ("tests/test_cli.py::TestClassifyGolden",)),
     Mutant("bom-not-skipped", "src/sfm/dataset.py",
            'encoding="utf-8-sig"',
            'encoding="utf-8"',
