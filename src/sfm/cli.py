@@ -17,7 +17,6 @@ import gc
 import json
 import math
 import os
-import re
 import sys
 from collections import namedtuple
 
@@ -38,10 +37,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises _UsageError, and reads "--tau0 -1e3" as "--tau0=-1e3".
-
-    argparse takes only -<digits>[.<digits>] for a negative number and any
-    other word that starts with "-", such as -1e3, for a flag.
+    """Raises _UsageError, and gives a flag that takes a value the next word that
+    starts with one "-", as POSIX getopt does (argparse takes such a word for a flag
+    unless it is shaped like -5 or -.5): "--tau0 -1e3" and "--tau0 -inf" read as
+    "--tau0=...", and "--data -x.csv" names a file. A "--" word is never a value.
     """
 
     def parse_known_args(self, args, namespace=None):
@@ -51,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
             flag = joined[-1] if joined else ""
             takes_value = flag[2:] and any(f.startswith(flag) and action.nargs is None
                                            for f, action in self._option_string_actions.items())
-            if takes_value and re.match(r"-\.?\d", arg):
+            if takes_value and arg[:1] == "-" and arg[:2] != "--":
                 joined[-1] += f"={arg}"
             else:
                 joined.append(arg)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 from hypothesis import settings
@@ -42,23 +45,20 @@ END_POINT_FAILURES = {
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
 
 
-def random_moments(rng: np.random.Generator, lognormal_consistent: bool = False) -> MomentSet:
-    """A random but valid MomentSet; gap is nonzero unless asked otherwise."""
+def random_moments(rng: np.random.Generator) -> MomentSet:
+    """A random but valid MomentSet with a nonzero gap."""
     sigma2_x = float(rng.uniform(1e-4, 0.05))
     sigma2_r = float(rng.uniform(1e-4, 0.2))
     mu_x = float(rng.uniform(-0.05, 0.08))
     mu_r = float(rng.uniform(-0.10, 0.15))
     rho = float(rng.uniform(-0.95, 0.95))
-    mean_x = math.exp(mu_x + 0.5 * sigma2_x)
-    if not lognormal_consistent:
-        mean_x *= float(rng.uniform(0.98, 1.02))
     return MomentSet(
         mu_x=mu_x,
         sigma2_x=sigma2_x,
         mu_r=mu_r,
         sigma2_r=sigma2_r,
         rho=rho,
-        mean_x=mean_x,
+        mean_x=math.exp(mu_x + 0.5 * sigma2_x) * float(rng.uniform(0.98, 1.02)),
         mean_re=math.exp(mu_r + 0.5 * sigma2_r) * float(rng.uniform(0.98, 1.02)),
         mean_rf=float(rng.uniform(0.95, 1.10)),
         n_obs=int(rng.integers(10, 200)),
@@ -73,6 +73,13 @@ def random_params(rng: np.random.Generator) -> ModelParams:
     )
 
 
+def fresh_run(argv, check=False):
+    """``python -m sfm.cli <argv>`` run to its exit; its numpy loads with main's one-thread default."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-m", "sfm.cli", *argv], capture_output=True,
+                          check=check, timeout=120, env=env)
+
+
 def fd_jacobian(m, log_params, options, step=1e-6):
     """The residuals' Jacobian by central differences of ``step`` in each log parameter."""
     jac = np.zeros((4, 4))
@@ -85,16 +92,16 @@ def fd_jacobian(m, log_params, options, step=1e-6):
     return jac
 
 
-def exact_root_moments(p: ModelParams, mu_x: float = 0.018, sigma2_x: float = 0.0012,
-                       sigma2_r: float = 0.024, rho: float = 0.4) -> MomentSet:
+def exact_root_moments(p: ModelParams) -> MomentSet:
     """Moments for which p solves all four equations exactly (printed variant).
 
     Works backwards: pick mean_rf from the risk-free equation, mean_re from
     the premium equation, the log-correlation term from the equity equation,
     and force the lognormality gap to zero so the structural identity closes
-    the remaining equation. The requested rho is replaced by the implied one,
-    adjusting sigma2_r to keep k = tau*rho*sigma_x*sigma_r feasible.
+    the remaining equation. The implied rho replaces rho = 0.4 (kept only at
+    tau = 0), adjusting sigma2_r to keep k = tau*rho*sigma_x*sigma_r feasible.
     """
+    mu_x, sigma2_x, sigma2_r, rho = 0.018, 0.0012, 0.024, 0.4
     b, w, d, tau = p.log_vector().tolist()
     f = -b - w + tau * mu_x - 0.5 * tau**2 * sigma2_x
     rm = f + w - d + tau * sigma2_x

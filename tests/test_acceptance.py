@@ -9,8 +9,6 @@ and the reason the published point cannot satisfy the equation system.
 import dataclasses
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -37,6 +35,7 @@ from helpers import (
     REF_UNCERTAIN_EQUITY,
     REF_UNCERTAIN_RISKFREE,
     fd_jacobian,
+    fresh_run,
     random_moments,
     random_params,
 )
@@ -296,10 +295,9 @@ def test_criterion_8_classification_golden():
 
 def test_criterion_9_end_to_end_determinism():
     """Two CLI solve runs on the same inputs emit byte-identical JSON."""
-    argv = [sys.executable, "-m", "sfm.cli", "solve", "--data", str(DATA_PATH),
-            "--format", "json"]
-    a = subprocess.run(argv, capture_output=True, timeout=120)
-    b = subprocess.run(argv, capture_output=True, timeout=120)
+    argv = ["solve", "--data", str(DATA_PATH), "--format", "json"]
+    a = fresh_run(argv)
+    b = fresh_run(argv)
     ok = a.returncode == b.returncode == 0 and a.stdout == b.stdout
     report(9, ok, f"{len(a.stdout)} bytes, identical={a.stdout == b.stdout}")
     assert a.returncode == 0 and b.returncode == 0

@@ -5,7 +5,7 @@ import gzip
 import io
 import json
 import math
-import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -31,13 +31,21 @@ from sfm import (
 from sfm.cli import _build_parser, main, run_command, to_json
 
 from conftest import DATA_PATH
-from helpers import END_POINT_FAILURES, PROPERTY_SETTINGS
+from helpers import END_POINT_FAILURES, PROPERTY_SETTINGS, fresh_run
 
 DATA = str(DATA_PATH)
 CLASSIFY_ARGV = [
     "classify", "--data", DATA, "--year", "1977",
     "--beta", "0.9581", "--tau", "1.0319",
     "--sfom-equity", "1.0013", "--sfom-riskfree", "1.0657",
+]
+# (subcommand, flag) for every subcommand flag that takes one value, read from the parser.
+VALUE_FLAGS = [
+    (command, flag)
+    for command, sub in next(a for a in _build_parser()._actions
+                             if a.dest == "command").choices.items()
+    for action in sub._actions if action.nargs is None
+    for flag in action.option_strings
 ]
 
 
@@ -239,15 +247,35 @@ class TestExitCodes:
         (["solve", "--data", DATA, "--tau0", "-.5e1"], 0),
         (["solve", "--data", DATA, "--beta0", "-1e-3"], 1),
         (["solve", "--data", DATA, "--tau0", "-1e3x"], 1),
+        (["moments", "--data", "-bundled.csv"], 0),
     ], ids=["tau0", "tau0-upper-e", "tau-min", "tau-min-abbreviated", "tau-min-ambiguous", "tau",
-            "tau0-no-leading-digit", "beta0", "tau0-not-a-number"])
-    def test_negative_value_in_exponent_form_reads_as_with_equals(self, argv, code,
+            "tau0-no-leading-digit", "beta0", "tau0-not-a-number", "data-dash-name"])
+    def test_negative_value_in_exponent_form_reads_as_with_equals(self, argv, code, tmp_path,
                                                                    monkeypatch, capsys):
+        # "-bundled.csv" names a copy of the bundled CSV in the working directory.
+        shutil.copy(DATA_PATH, tmp_path / "-bundled.csv")
+        monkeypatch.chdir(tmp_path)
         i = next(i for i, arg in enumerate(argv) if arg.startswith("-") and arg[1:2] != "-")
         joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
         spaced = run_main(argv, monkeypatch, capsys)
         assert spaced[0] == code
         assert spaced == run_main(joined, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("command,flag", VALUE_FLAGS,
+                             ids=[f"{command}{flag}" for command, flag in VALUE_FLAGS])
+    def test_dash_word_after_a_value_flag_reads_as_with_equals(self, command, flag):
+        # Whatever the word's shape, it reaches the flag's own validator or path reader.
+        others = [w for f, v in FUZZ_COMMANDS[command].items() if f != flag
+                  for w in (f, v if isinstance(v, str) else v[0])]
+        for word in ("-1e3", "-.5", "-inf", "-nan", "-Infinity"):
+            spaced = run_command([command, *others, flag, word])
+            assert spaced == run_command([command, *others, f"{flag}={word}"]), word
+
+    def test_long_flag_is_never_a_value(self, monkeypatch, capsys):
+        argv = ["solve", "--data", DATA, "--tau0", "--format", "json"]
+        assert run_main(argv, monkeypatch, capsys) == (
+            1, "", "sfm solve: argument --tau0: expected one argument\n"
+        )
 
     # The negative-value join never attaches to --help, which takes no value.
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help", "-5"],
@@ -589,16 +617,10 @@ class TestClassifyCommand:
 
 
 class TestStreamContract:
-    def run_process(self, args):
-        return subprocess.run(
-            [sys.executable, "-m", "sfm.cli", *args],
-            capture_output=True, text=True, timeout=120,
-        )
-
     def test_success_goes_to_stdout(self):
-        proc = self.run_process(["moments", "--data", DATA])
+        proc = fresh_run(["moments", "--data", DATA])
         assert proc.returncode == 0
-        assert proc.stderr == ""
+        assert proc.stderr == b""
         json.loads(proc.stdout)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
@@ -616,17 +638,10 @@ class TestStreamContract:
         assert stderr == b""
 
     def test_end_to_end_byte_identical(self):
-        a = self.run_process(["solve", "--data", DATA, "--format", "json"])
-        b = self.run_process(["solve", "--data", DATA, "--format", "json"])
+        a = fresh_run(["solve", "--data", DATA, "--format", "json"])
+        b = fresh_run(["solve", "--data", DATA, "--format", "json"])
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
-
-
-def fresh_run(argv, check=False):
-    """``python -m sfm.cli <argv>`` run to its exit; its numpy loads with main's one-thread default."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    return subprocess.run([sys.executable, "-m", "sfm.cli", *argv], capture_output=True,
-                          check=check, timeout=120, env=env)
 
 
 def fresh_stdout(argv) -> str:
@@ -708,10 +723,10 @@ class TestClassifyGolden:
 
 
 MISSING = str(Path(DATA).with_name("missing.csv"))
-# Bad values every flag is tried with: zero, negative, non-finite, huge (1e6
-# and 1e80 as --tau0 end a solve outside the float range), not a number, a
-# path that does not exist.
-FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e6", "1e80", "1e308", "abc", MISSING)
+# Bad values every flag is tried with: zero, negative (also in exponent and
+# non-finite form), non-finite, huge (1e6 and 1e80 as --tau0 end a solve
+# outside the float range), not a number, a path that does not exist.
+FUZZ_VALUES = ("0", "-1", "-1e3", "nan", "inf", "-inf", "1e6", "1e80", "1e308", "abc", MISSING)
 # Each subcommand's flags with a valid value, or a tuple of valid values to
 # draw from; sizes are small to keep runs fast.
 FORMATS = ("table", "json")

@@ -161,11 +161,15 @@ MUTANTS = (
            "    if fresh:\n        # Shutdown runs",
            "    if True:\n        # Shutdown runs",
            ("tests/test_imports.py::test_fresh_main_freezes_its_heap_before_exit",)),
-    Mutant("parser-join-leading-dot", "src/sfm/cli.py",
-           r'r"-\.?\d"',
-           r'r"-\d"',
+    Mutant("parser-join-long-flag", "src/sfm/cli.py",
+           ' and arg[:2] != "--"',
+           "",
+           ("tests/test_cli.py::TestExitCodes::test_long_flag_is_never_a_value",)),
+    Mutant("parser-join-digits-only", "src/sfm/cli.py",
+           'arg[:1] == "-" and arg[:2] != "--"',
+           'arg[:1] == "-" and arg[1:2].isdigit()',
            ("tests/test_cli.py::TestExitCodes::"
-            "test_negative_value_in_exponent_form_reads_as_with_equals",)),
+            "test_dash_word_after_a_value_flag_reads_as_with_equals",)),
     Mutant("join-onto-help", "src/sfm/cli.py",
            " and action.nargs is None",
            "",
