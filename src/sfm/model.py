@@ -25,7 +25,8 @@ options) and cached. ``affine_system`` returns (A, c), batched over tau. The
 residuals, the manifold's 3x3 solves and the Jacobian [A | dA/dtau @ v + dc/dtau]
 all follow from the table, whose tau derivative is the same table weighed by
 (0, 1, 2*tau). ``residual_array`` and ``jacobian_array`` evaluate it at one tau
-with the same products as ``affine_system``, so r and A agree bit for bit.
+with ``ndarray.dot``, which calls the BLAS routine of ``affine_system``'s
+stacked ``@`` without the matmul gufunc's dispatch, so r and A agree bit for bit.
 The solver calls their two private helpers, ``_evaluate`` and
 ``_jacobian_from``, with a table it looked up once.
 
@@ -155,16 +156,16 @@ def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
 
 
 def _evaluate(table: np.ndarray, x: np.ndarray):
-    """[A | c] at x's tau, affine_system's product at one tau, and r = A @ v + c at x."""
-    ac = (x[3] ** _POWERS @ table).reshape(4, 4)
-    return ac, ac[:, :3] @ x[:3] + ac[:, 3]
+    """[A | c] at x's tau and r = A @ v + c at x: affine_system's bits at one tau, by ``.dot``."""
+    ac = (x[3] ** _POWERS).dot(table).reshape(4, 4)
+    return ac, ac[:, :3].dot(x[:3]) + ac[:, 3]
 
 
 def _jacobian_from(table: np.ndarray, x: np.ndarray, ac: np.ndarray) -> np.ndarray:
     """The Jacobian at x from [A | c] at x's tau; overwrites c with dr/dtau in place."""
     # d/dtau (1, tau, tau^2) = (0, 1, 2*tau) weighs the same table into [dA/dtau | dc/dtau].
-    d_ac = (np.array((0.0, 1.0, 2.0 * x[3])) @ table).reshape(4, 4)
-    ac[:, 3] = d_ac[:, :3] @ x[:3] + d_ac[:, 3]
+    d_ac = np.array((0.0, 1.0, 2.0 * x[3])).dot(table).reshape(4, 4)
+    ac[:, 3] = d_ac[:, :3].dot(x[:3]) + d_ac[:, 3]
     return ac
 
 

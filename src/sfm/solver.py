@@ -148,6 +148,9 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     coefficient table, and an accepted trial's [A | c] becomes the first
     three columns of its Jacobian, with the bits of evaluating it afresh: a
     point's Jacobian is built once, when the point is accepted.
+    A trial solves the damped system D for the gradient J'r and steps x - step,
+    the gradient's sign folded in: an LU solve is linear in its right-hand side
+    and rounding is sign-symmetric, so these are the bits of x + solve(D, -J'r).
     An exactly singular damped system gives a nan step, rejected like a
     worse one. Convergence reasons: "residual" (norm below tolerance), "step"
     (no accepted step above the step tolerance, including damping
@@ -167,7 +170,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     # about. A solve whose norm is not finite at its end fails the check below.
     with np.errstate(over="ignore", invalid="ignore"):
         r, jac = residual_array(m, x, opts), jacobian_array(m, x, opts)
-        norm = math.sqrt(r @ r)
+        norm = math.sqrt(r.dot(r))
 
         converged = "max-iter"
         iterations = 0
@@ -176,14 +179,14 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
                 converged = "residual"
                 iterations -= 1
                 break
-            neg_grad = -(jac.T @ r)
-            jtj = jac.T @ jac
+            grad = jac.T.dot(r)
+            jtj = jac.T.dot(jac)
 
             while lam <= _DAMPING_MAX:
-                step = _gesv(jtj + lam * _IDENTITY, neg_grad, signature="dd->d")
-                x_new = x + step
+                step = _gesv(jtj + lam * _IDENTITY, grad, signature="dd->d")
+                x_new = x - step
                 ac, r_new = _evaluate(table, x_new)
-                norm_new = math.sqrt(r_new @ r_new)
+                norm_new = math.sqrt(r_new.dot(r_new))
                 if norm_new <= norm:
                     break
                 lam *= 10.0
@@ -193,7 +196,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
 
             x, r, norm, jac = x_new, r_new, norm_new, _jacobian_from(table, x_new, ac)
             lam = max(lam * 0.3, _DAMPING_MIN)
-            if math.sqrt(step @ step) <= _STEP_TOLERANCE * (1.0 + math.sqrt(x @ x)):
+            if math.sqrt(step.dot(step)) <= _STEP_TOLERANCE * (1.0 + math.sqrt(x.dot(x))):
                 converged = "step"
                 break
 

@@ -18,6 +18,7 @@ from sfm import (
     ModelParams,
     Residuals,
     SingularSubsystemError,
+    Solution,
     SolverConfig,
     SolverError,
     estimate_moments,
@@ -200,12 +201,34 @@ class TestDampedStep:
                 for _ in range(4):
                     x = random_params(rng).log_vector()
                     r, jac = residual_array(m, x, options), jacobian_array(m, x, options)
-                    neg_grad = -(jac.T @ r)
+                    grad = jac.T @ r
                     for lam in dampings:
                         damped = jac.T @ jac + lam * np.eye(4)
                         with np.errstate(over="ignore", invalid="ignore"):  # as in solve
-                            step = solver._gesv(damped, neg_grad, signature="dd->d")
-                        assert step.tobytes() == np.linalg.solve(damped, neg_grad).tobytes()
+                            step = solver._gesv(damped, grad, signature="dd->d")
+                        assert step.tobytes() == np.linalg.solve(damped, grad).tobytes()
+
+    def test_gradient_sign_folds_out_of_the_step_bitwise(self, bundled_growth):
+        # solve steps x - gesv(D, g) where it once stepped x + gesv(D, -g). An
+        # LU solve is linear in its right-hand side, its pivots depend on D
+        # alone and round-to-nearest is sign-symmetric, so the two are the
+        # same bits at every damping the loop can reach.
+        rng = np.random.default_rng(43)
+        exponents = range(round(math.log10(solver._DAMPING_MIN)),
+                          round(math.log10(solver._DAMPING_MAX)) + 1)
+        for variance in ("sample", "population"):
+            m = estimate_moments(bundled_growth, variance)
+            for options in ALL_OPTIONS:
+                for _ in range(4):
+                    x = random_params(rng).log_vector()
+                    r, jac = residual_array(m, x, options), jacobian_array(m, x, options)
+                    grad = jac.T.dot(r)
+                    for e in exponents:
+                        damped = jac.T.dot(jac) + 10.0 ** e * np.eye(4)
+                        with np.errstate(over="ignore", invalid="ignore"):  # as in solve
+                            step = solver._gesv(damped, grad, signature="dd->d")
+                            flipped = solver._gesv(damped, -grad, signature="dd->d")
+                        assert step.tobytes() == (-flipped).tobytes()
 
     @pytest.mark.parametrize("damped", [
         [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -226,9 +249,9 @@ class TestDampedStep:
         # that starts at ten times the initial damping.
         plain, gesv, calls = solve(bundled_moments), solver._gesv, []
 
-        def first_trial_nan(damped, neg_grad, **kwargs):
+        def first_trial_nan(damped, grad, **kwargs):
             calls.append(None)
-            step = gesv(damped, neg_grad, **kwargs)
+            step = gesv(damped, grad, **kwargs)
             return np.full_like(step, np.nan) if len(calls) == 1 else step
 
         monkeypatch.setattr(solver, "_gesv", first_trial_nan)
@@ -236,6 +259,96 @@ class TestDampedStep:
         monkeypatch.setattr(solver, "_gesv", gesv)
         monkeypatch.setattr(solver, "_DAMPING_INIT", 10 * solver._DAMPING_INIT)
         assert nan_first == solve(bundled_moments) != plain
+
+
+def reference_solve(m, cfg):
+    """solve restated as it was written with ``@`` products.
+
+    Every point is evaluated from the table by ``@``, and each damped trial
+    solves for the step along the negated gradient and takes x + step. solve
+    itself uses ``ndarray.dot`` and takes x - gesv(D, gradient).
+    """
+    table = _table(m, cfg.options)
+
+    def evaluate(x):
+        ac = (x[3] ** np.arange(3.0) @ table).reshape(4, 4)
+        return ac, ac[:, :3] @ x[:3] + ac[:, 3]
+
+    def jacobian(x, ac):
+        d_ac = (np.array((0.0, 1.0, 2.0 * x[3])) @ table).reshape(4, 4)
+        ac[:, 3] = d_ac[:, :3] @ x[:3] + d_ac[:, 3]
+        return ac
+
+    x, lam = cfg.initial.log_vector(), solver._DAMPING_INIT
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac, r = evaluate(x)
+        jac, norm = jacobian(x, ac), math.sqrt(r @ r)
+        converged, iterations = "max-iter", 0
+        for iterations in range(1, solver._MAX_ITERATIONS + 1):
+            if norm <= solver._RESIDUAL_TOLERANCE:
+                converged, iterations = "residual", iterations - 1
+                break
+            neg_grad, jtj = -(jac.T @ r), jac.T @ jac
+            while lam <= solver._DAMPING_MAX:
+                step = solver._gesv(jtj + lam * np.eye(4), neg_grad, signature="dd->d")
+                x_new = x + step
+                ac, r_new = evaluate(x_new)
+                norm_new = math.sqrt(r_new @ r_new)
+                if norm_new <= norm:
+                    break
+                lam *= 10.0
+            else:
+                converged = "step"
+                break
+            x, r, norm, jac = x_new, r_new, norm_new, jacobian(x_new, ac)
+            lam = max(lam * 0.3, solver._DAMPING_MIN)
+            if math.sqrt(step @ step) <= solver._STEP_TOLERANCE * (1.0 + math.sqrt(x @ x)):
+                converged = "step"
+                break
+    b, w, d, tau = x.tolist()
+    left = [] if math.isfinite(norm) else ["the residual norm"]
+    left += [name for name, v in (("beta", b), ("omega", w), ("delta", d))
+             if v > solver._MAX_LOG or math.exp(v) == 0.0]
+    if left:
+        raise SolverError(f"solve end point at tau = {tau!r}: {', '.join(left)} left the float range")
+    sv = np.linalg.svd(jac, compute_uv=False).tolist()
+    return Solution(ModelParams.from_log(b, w, d, tau), Residuals(*r.tolist(), norm),
+                    iterations, converged, tuple(sv),
+                    sum(s > solver.RANK_RTOL * sv[0] for s in sv))
+
+
+def outcome(solver_function, m, cfg):
+    """The repr of the Solution and why it stopped, or the SolverError's text and "error"."""
+    try:
+        solution = solver_function(m, cfg)
+    except SolverError as exc:
+        return str(exc), "error"
+    return repr(solution), solution.converged
+
+
+class TestSolveReference:
+    @pytest.mark.parametrize("variance", ["sample", "population"])
+    @pytest.mark.parametrize("options", ALL_OPTIONS,
+                             ids=lambda options: f"{options.eq3_variant}/{options.lnex_mode}")
+    def test_solve_equals_the_reference_loop_bytewise(self, bundled_growth, variance, options):
+        # Seeded starts with tau0 in [-3, 30], and the far starts that end in a
+        # SolverError. On the bundled data the arithmetic lnEx mode keeps a
+        # residual floor, so its solves stop on "step"; the implied mode's
+        # floor is 0 and its solves stop on "residual".
+        m = estimate_moments(bundled_growth, variance)
+        rng = np.random.default_rng([47, ALL_OPTIONS.index(options), int(variance == "sample")])
+        starts = [ModelParams(*np.exp(rng.uniform(-0.5, 0.5, size=3)), rng.uniform(-3.0, 30.0))
+                  for _ in range(12)]
+        starts += [ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=float(tau0))
+                   for tau0 in END_POINT_FAILURES]
+        kinds = set()
+        for start in starts:
+            cfg = SolverConfig(initial=start, options=options)
+            text, kind = outcome(solve, m, cfg)
+            assert (text, kind) == outcome(reference_solve, m, cfg)
+            kinds.add(kind)
+        stop = "step" if options.lnex_mode == "arithmetic" else "residual"
+        assert {"error", stop} <= kinds
 
 
 GOLDEN_STARTS = json.loads(

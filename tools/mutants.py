@@ -52,8 +52,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("v-float32", "src/sfm/model.py",
-           "return ac, ac[:, :3] @ x[:3] + ac[:, 3]",
-           "return ac, ac[:, :3] @ x[:3].astype(np.float32) + ac[:, 3]",
+           "return ac, ac[:, :3].dot(x[:3]) + ac[:, 3]",
+           "return ac, ac[:, :3].dot(x[:3].astype(np.float32)) + ac[:, 3]",
            ("tests/test_model.py::TestAffineCoreProperties",)),
     Mutant("derivative-row-tau", "src/sfm/model.py",
            "np.array((0.0, 1.0, 2.0 * x[3]))",
@@ -120,6 +120,14 @@ MUTANTS = (
            "jtj + lam * _IDENTITY",
            "jtj + _IDENTITY",
            ("tests/test_solver.py::TestSolveStartsGolden",)),
+    Mutant("gradient-untransposed", "src/sfm/solver.py",
+           "grad = jac.T.dot(r)",
+           "grad = jac.dot(r)",
+           ("tests/test_solver.py::TestSolveReference",)),
+    Mutant("step-sign", "src/sfm/solver.py",
+           "x_new = x - step",
+           "x_new = x + step",
+           ("tests/test_solver.py::TestSolveReference",)),
     Mutant("floor-sqrt2", "src/sfm/solver.py",
            "return abs(lognormality_gap(m)) / math.sqrt(3.0)",
            "return abs(lognormality_gap(m)) / math.sqrt(2.0)",
