@@ -27,8 +27,8 @@ all follow from the table, whose tau derivative is the same table weighed by
 (0, 1, 2*tau). ``residual_array`` and ``jacobian_array`` evaluate it at one tau
 with ``ndarray.dot``, which calls the BLAS routine of ``affine_system``'s
 stacked ``@`` without the matmul gufunc's dispatch, so r and A agree bit for bit.
-The solver calls their two private helpers, ``_evaluate`` and
-``_jacobian_from``, with a table it looked up once.
+The solver calls their private helpers, ``_evaluate`` and ``_jacobian_from``,
+with a table it looked up once; ``_system`` forms [A | c] for both.
 
 The combination r2 + r4 - r5 = X - mu_x - sigma2_x/2 holds for every
 parameter vector, so the Jacobian has rank <= 3 everywhere: the system
@@ -155,9 +155,14 @@ def affine_system(m: MomentSet, tau, options: ModelOptions = DEFAULT_OPTIONS):
     return ac[..., :3], ac[..., 3]
 
 
+def _system(table: np.ndarray, tau) -> np.ndarray:
+    """[A | c] at one tau: affine_system's bits, by ``.dot``."""
+    return (tau ** _POWERS).dot(table).reshape(4, 4)
+
+
 def _evaluate(table: np.ndarray, x: np.ndarray):
-    """[A | c] at x's tau and r = A @ v + c at x: affine_system's bits at one tau, by ``.dot``."""
-    ac = (x[3] ** _POWERS).dot(table).reshape(4, 4)
+    """[A | c] at x's tau and r = A @ v + c at x."""
+    ac = _system(table, x[3])
     return ac, ac[:, :3].dot(x[:3]) + ac[:, 3]
 
 
@@ -180,7 +185,7 @@ def jacobian_array(m: MomentSet, log_params: np.ndarray,
     """Analytic 4x4 Jacobian d(r2, r3, r4, r5)/d(b, w, d, tau): [A | dA/dtau @ v + dc/dtau]."""
     x = np.asarray(log_params, dtype=float)
     table = _table(m, options)
-    return _jacobian_from(table, x, _evaluate(table, x)[0])
+    return _jacobian_from(table, x, _system(table, x[3]))
 
 
 def lognormal_power_cov(a: float, b: float, mu_x: float, sigma_x: float,

@@ -39,6 +39,9 @@ CLASSIFY_ARGV = [
     "--beta", "0.9581", "--tau", "1.0319",
     "--sfom-equity", "1.0013", "--sfom-riskfree", "1.0657",
 ]
+# (--variance, --eq3, --lnex): the 8 switch settings of sfm manifold.
+SWITCHES = [(v, e, l) for v in ("sample", "population")
+            for e in ("printed", "rederived") for l in ("arithmetic", "lognormal")]
 # (subcommand, flag) for every subcommand flag that takes one value, read from the parser.
 VALUE_FLAGS = [
     (command, flag)
@@ -460,16 +463,9 @@ class TestManifoldCommand:
             assert abs(pt["residuals"]["r4"]) <= 1e-10
             assert pt["residuals"]["r5"] == pytest.approx(-doc["gap"], abs=1e-10)
 
-    @PROPERTY_SETTINGS
-    @given(
-        tau_min=st.floats(0.05, 8.0),
-        tau_max=st.floats(0.05, 8.0),
-        steps=st.integers(1, 40),
-        switches=st.sampled_from([(v, e, l) for v in ("sample", "population")
-                                  for e in ("printed", "rederived")
-                                  for l in ("arithmetic", "lognormal")]),
-    )
-    def test_json_is_the_document_to_json_renders(self, tau_min, tau_max, steps, switches):
+    @staticmethod
+    def payload_and_reference(tau_min, tau_max, steps, switches):
+        """``sfm manifold``'s output, and to_json of the point dicts of the same manifold."""
         variance, eq3, lnex = switches
         m = estimate_moments(growth_series(load_series(DATA)), variance)
         options = ModelOptions(
@@ -484,21 +480,44 @@ class TestManifoldCommand:
             "manifold", "--data", DATA, "--variance", variance, "--eq3", eq3, "--lnex", lnex,
             "--tau-min", repr(tau_min), "--tau-max", repr(tau_max), "--steps", str(steps),
         ])
+        return payload, reference
+
+    @PROPERTY_SETTINGS
+    @given(
+        tau_min=st.floats(0.05, 8.0),
+        tau_max=st.floats(0.05, 8.0),
+        steps=st.integers(1, 40),
+        switches=st.sampled_from(SWITCHES),
+    )
+    def test_json_is_the_document_to_json_renders(self, tau_min, tau_max, steps, switches):
+        payload, reference = self.payload_and_reference(tau_min, tau_max, steps, switches)
         # Lines, not one string: a failing example then reports its first
         # differing line instead of a character diff of the whole document.
         assert payload.splitlines() == reference.splitlines()
         assert payload == reference
 
-    def test_non_finite_value_is_numerical_failure(self, monkeypatch, capsys):
-        def overflowing(*args):
-            manifold = trace_manifold(*args)
-            return Manifold(manifold.tau, manifold.factors, manifold.residuals, np.array([math.inf]))
+    @pytest.mark.parametrize("switches", SWITCHES)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 1000])
+    def test_row_template_gives_the_bytes_of_to_json(self, steps, switches):
+        payload, reference = self.payload_and_reference(0.05, 8.0, steps, switches)
+        assert payload == reference
 
-        monkeypatch.setattr("sfm.solver.trace_manifold", overflowing)
-        with pytest.raises(ValueError) as rejected:
-            to_json(math.inf)
-        argv = ["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "1", "--steps", "1"]
-        assert run_main(argv, monkeypatch, capsys) == (3, "", f"{rejected.value}\n")
+    def test_non_finite_value_is_numerical_failure(self, monkeypatch, capsys):
+        argv = ["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2", "--steps", "3"]
+        # (column, index, value): one value of one column spoiled.
+        for column, index, value in [("norms", 0, math.inf), ("factors", (1, 2), math.nan),
+                                     ("residuals", (2, 0), -math.inf)]:
+            def spoiled(*args):
+                manifold = trace_manifold(*args)
+                columns = {name: getattr(manifold, name).copy()
+                           for name in ("tau", "factors", "residuals", "norms")}
+                columns[column][index] = value
+                return Manifold(**columns)
+
+            monkeypatch.setattr("sfm.solver.trace_manifold", spoiled)
+            with pytest.raises(ValueError) as rejected:
+                to_json(value)
+            assert run_main(argv, monkeypatch, capsys) == (3, "", f"{rejected.value}\n")
 
     def test_tau_zero_grid_is_numerical_failure(self):
         outcome = run_command([

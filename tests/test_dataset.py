@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from sfm import DataError, growth_series, load_series
 from sfm.dataset import CSV_HEADER
 
-from conftest import DATA_PATH
+from conftest import DATA_PATH, ROOT
 from helpers import PROPERTY_SETTINGS
 
 
@@ -235,3 +236,16 @@ class TestColumnsProperty:
         for outside in (years[0] - 1, years[-1] + 1):
             with pytest.raises(DataError, match=f"year {outside} not in series"):
                 series.consumption_of(outside)
+
+
+def test_reconstruction_tool_rebuilds_the_bundled_file(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reconstruct_dataset", ROOT / "tools" / "reconstruct_dataset.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tmp_path / "series.csv"
+    tool.main(out)
+    assert out.read_bytes() == DATA_PATH.read_bytes()
+    # The report's last line names the pinned level as a plain float.
+    level = load_series(DATA_PATH).consumption_of(1977)
+    assert capsys.readouterr().out.splitlines()[-1] == f"consumption 1977: {level!r}"

@@ -1,6 +1,6 @@
 """Cold start: a fresh interpreter loads only the modules a command runs."""
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -17,14 +17,16 @@ MANIFOLD_FLAGS = ["--tau-min", "1", "--tau-max", "2", "--steps", "3"]
 SOLVER = ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.model", "sfm.moments", "sfm.solver"]
 LOADER = ["sfm.cli", "sfm.dataset", "sfm.errors"]
 # Modules that take long to import; each row names those its command loads.
-HEAVY = ("dataclasses", "numpy")
+# json loads only with JSON output: the solve and classify tables and every
+# error load none.
+HEAVY = ("dataclasses", "json", "numpy")
 
 # sfm argv (None: only ``import sfm``) -> (exit code, sfm submodules, heavy modules loaded).
 CONTRACT = {
     "import-sfm": (None, None, [], []),
     "moments": (["moments", "--data", DATA], 0,
                 ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.moments"], HEAVY),
-    "solve": (["solve", "--data", DATA], 0, SOLVER, HEAVY),
+    "solve": (["solve", "--data", DATA], 0, SOLVER, ["dataclasses", "numpy"]),
     "manifold": (["manifold", "--data", DATA, *MANIFOLD_FLAGS], 0, SOLVER, HEAVY),
     "validate": (["validate", "--draws", "10000"], 0,
                  ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.mc", "sfm.model", "sfm.moments"],
@@ -48,11 +50,14 @@ CONTRACT = {
 
 
 def loaded_by(code: str, env=None):
-    """The modules a fresh interpreter holds after ``code``, and the value ``code`` left in ``result``."""
-    probe = f"import json, sys\nresult = None\n{code}\nprint(json.dumps([sorted(sys.modules), result]))"
+    """The modules a fresh interpreter holds after ``code``, and the value ``code`` left in ``result``.
+
+    The probe prints a repr, not JSON, so that it loads no module of its own.
+    """
+    probe = f"import sys\nresult = None\n{code}\nprint(repr([sorted(sys.modules), result]))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120, env=env)
-    modules, result = json.loads(proc.stdout.splitlines()[-1])
+    modules, result = ast.literal_eval(proc.stdout.splitlines()[-1])
     return set(modules), result
 
 
@@ -91,15 +96,18 @@ def test_main_defaults_openblas_to_one_thread(user_value, numpy_first, expected)
 
 
 @pytest.mark.parametrize("numpy_first", [False, True])
-@pytest.mark.parametrize("row", ["moments", "usage-error"])
+@pytest.mark.parametrize("row", ["moments", "usage-error", "moments-missing-data"])
 def test_fresh_main_freezes_its_heap_before_exit(row, numpy_first):
-    # Frozen objects sit in the permanent generation, which the shutdown collections skip.
+    # A fresh main runs its command without the cyclic collector, and freezes
+    # what it left: frozen objects sit in the permanent generation, which the
+    # shutdown collections skip.
     argv, exit_code = CONTRACT[row][:2]
     code = ("import numpy\n" if numpy_first else "") + run_main(argv)
-    code += "\n    import gc\n    result = [exc.code, gc.get_freeze_count()]"
-    code_seen, frozen = loaded_by(code)[1]
+    code += "\n    import gc\n    result = [exc.code, gc.isenabled(), gc.get_freeze_count()]"
+    code_seen, enabled, frozen = loaded_by(code)[1]
     assert code_seen == exit_code
     if numpy_first:
-        assert frozen == 0      # a process that already holds numpy is left as it is
+        # A process that already holds numpy is left as it is.
+        assert (enabled, frozen) == (True, 0)
     else:
-        assert frozen > 0
+        assert (enabled, frozen > 0) == (False, True)

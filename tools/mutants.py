@@ -169,6 +169,10 @@ MUTANTS = (
            "    if fresh:\n        # Shutdown runs",
            "    if True:\n        # Shutdown runs",
            ("tests/test_imports.py::test_fresh_main_freezes_its_heap_before_exit",)),
+    Mutant("gc-disable-always", "src/sfm/cli.py",
+           "        gc.disable()\n    outcome",
+           "    gc.disable()\n    outcome",
+           ("tests/test_imports.py::test_fresh_main_freezes_its_heap_before_exit",)),
     Mutant("parser-join-long-flag", "src/sfm/cli.py",
            ' and arg[:2] != "--"',
            "",
@@ -188,9 +192,14 @@ MUTANTS = (
            ("tests/test_cli.py::TestStreamContract::"
             "test_closed_stdout_ends_the_process_by_sigpipe",)),
     Mutant("manifold-beta-omega-swap", "src/sfm/cli.py",
-           '{"tau": tau, "beta": beta, "omega": omega,',
-           '{"tau": tau, "beta": omega, "omega": beta,',
+           '"beta": s[1], "omega": s[2],',
+           '"beta": s[2], "omega": s[1],',
            ("tests/test_cli.py::TestManifoldGolden",)),
+    Mutant("manifold-template-r5-norm-swap", "src/sfm/cli.py",
+           '"r5": s[7], "norm": s[8]',
+           '"r5": s[8], "norm": s[7]',
+           ("tests/test_cli.py::TestManifoldCommand::"
+            "test_row_template_gives_the_bytes_of_to_json",)),
     Mutant("tau-range-unchecked", "src/sfm/cli.py",
            "    if not math.isfinite(args.tau_max - args.tau_min):",
            "    if False:",

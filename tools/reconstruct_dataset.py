@@ -22,7 +22,8 @@ chained from the growth factors and scaled so the 1977 level equals
 3339.99999 constant dollars (1972-dollar per-capita consumption), the level
 at which CRRA utility with coefficient 1.0319 equals 7.14871804.
 
-Running this script overwrites data/mp_1889_1978.csv deterministically.
+Running this script overwrites data/mp_1889_1978.csv deterministically;
+``main(out)`` writes the same bytes to another path.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ MEAN_X, SD_X = 1.0183, 0.0357
 MEAN_RE, SD_RE = 1.0698, 0.1654
 MEAN_RF, SD_RF = 1.0080, 0.0567
 RHO_LOG = 0.40
+
+BUNDLED_CSV = Path(__file__).resolve().parent.parent / "data" / "mp_1889_1978.csv"
 
 # Consumption level pinning: inverse of the CRRA utility 7.14871804 at
 # tau = 1.0319, i.e. (1 + (1 - tau) * v) ** (1 / (1 - tau)).
@@ -104,7 +107,7 @@ def build_observations(rng: np.random.Generator, n: int):
     return x, re, rf
 
 
-def main() -> None:
+def main(out: Path = BUNDLED_CSV) -> None:
     n = LAST_YEAR - FIRST_YEAR  # 89 growth/return pairs, 1890-1978
     rng = np.random.default_rng(SEED)
     x, re, rf = build_observations(rng, n)
@@ -124,7 +127,6 @@ def main() -> None:
     c_ref = (1.0 + one_m_tau * CERTAIN_UTILITY_REF) ** (1.0 / one_m_tau)
     levels *= c_ref / levels[UTILITY_YEAR - FIRST_YEAR]
 
-    out = Path(__file__).resolve().parent.parent / "data" / "mp_1889_1978.csv"
     out.parent.mkdir(exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -150,7 +152,7 @@ def main() -> None:
     print(f"mean Rf {rf.mean():.10f}   sd Rf {rf.std(ddof=1):.10f}")
     print(f"corr(ln x, ln Re) {np.corrcoef(lx, np.log(re))[0, 1]:.12f}")
     print(f"lognormality gap  {gap:.8e}")
-    print(f"consumption {UTILITY_YEAR}: {levels[UTILITY_YEAR - FIRST_YEAR]!r}")
+    print(f"consumption {UTILITY_YEAR}: {float(levels[UTILITY_YEAR - FIRST_YEAR])!r}")
 
 
 if __name__ == "__main__":
