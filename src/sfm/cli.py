@@ -24,7 +24,7 @@ from .errors import MIN_DRAWS, DataError, SolverError
 # The published table's leading columns: the investor and its three parameters.
 _PARAM_HEADER = f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"
 
-# Largest --steps: 1e5 manifold points peak at about 136 MiB and take about 1.3 s.
+# Largest --steps: 1e5 manifold points peak at about 131 MiB and take 1.7-2.1 s (2 cores).
 MAX_STEPS = 100_000
 
 
@@ -233,23 +233,19 @@ def _cmd_manifold(args) -> str:
 
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
     manifold = trace_manifold(m, grid, _options(args))
-    # to_json lays the document out once, with one point whose nine values are
-    # the sentinels "@0".."@8"; each point is that point's text with each quoted
-    # sentinel replaced by its value's repr, which is how json writes a float.
-    s = [f"@{i}" for i in range(9)]
+    # to_json lays the document out once, with one point whose nine values are "%r":
+    # unquoted, they fill in key order with each value's repr, as json writes a float.
     head, _, body = to_json({"gap": lognormality_gap(m), "points": [
-        {"tau": s[0], "beta": s[1], "omega": s[2], "delta": s[3],
-         "residuals": {"r2": s[4], "r3": s[5], "r4": s[6], "r5": s[7], "norm": s[8]}},
+        {"tau": "%r", "beta": "%r", "omega": "%r", "delta": "%r",
+         "residuals": {"r2": "%r", "r3": "%r", "r4": "%r", "r5": "%r", "norm": "%r"}},
     ]}).partition("[")
     point, close, end = body.rsplit("\n", 2)    # the last two lines: "  ]" and "}"
-    row = point.replace("{", "{{").replace("}", "}}")
-    for i, sentinel in enumerate(s):
-        row = row.replace(f'"{sentinel}"', f"{{{i}!r}}")
+    row = point.replace('"%r"', "%r")
     values = np.column_stack((manifold.tau, manifold.factors, manifold.residuals, manifold.norms))
     # json's own check, given the non-finite values: the first one, in document
     # order, raises its ValueError; with none, this renders "[]".
     to_json(values[~np.isfinite(values)].tolist())
-    return f"{head}[{','.join(row.format(*v) for v in values.tolist())}\n{close}\n{end}"
+    return f"{head}[{','.join(row % tuple(v) for v in values.tolist())}\n{close}\n{end}"
 
 
 def _cmd_validate(args) -> str:

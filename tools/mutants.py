@@ -14,8 +14,9 @@ is never edited. A fault may take one row per test that must catch it
 
 Known equivalent, so not in the table: ``trace_manifold`` blocks one row
 longer (start + MANIFOLD_BLOCK + 1), so that consecutive blocks overlap by
-one row. The next block recomputes that row to the same bits, so no test
-can tell the mutant apart.
+one row, which the next block recomputes to the same bits; and the row
+template of ``sfm manifold`` with ``%s`` fields for ``%r``, since a float's
+``str`` is its ``repr`` in Python 3. No test can tell either apart.
 
     python3 tools/mutants.py              # every mutant, about 2-10 s each
     python3 tools/mutants.py pairwise-edge tau-range-unchecked
@@ -192,14 +193,18 @@ MUTANTS = (
            ("tests/test_cli.py::TestStreamContract::"
             "test_closed_stdout_ends_the_process_by_sigpipe",)),
     Mutant("manifold-beta-omega-swap", "src/sfm/cli.py",
-           '"beta": s[1], "omega": s[2],',
-           '"beta": s[2], "omega": s[1],',
+           '"beta": "%r", "omega": "%r",',
+           '"omega": "%r", "beta": "%r",',
            ("tests/test_cli.py::TestManifoldGolden",)),
     Mutant("manifold-template-r5-norm-swap", "src/sfm/cli.py",
-           '"r5": s[7], "norm": s[8]',
-           '"r5": s[8], "norm": s[7]',
+           '"r5": "%r", "norm": "%r"',
+           '"norm": "%r", "r5": "%r"',
            ("tests/test_cli.py::TestManifoldCommand::"
             "test_row_template_gives_the_bytes_of_to_json",)),
+    Mutant("manifold-non-finite-unchecked", "src/sfm/cli.py",
+           "    to_json(values[~np.isfinite(values)].tolist())\n",
+           "",
+           ("tests/test_cli.py::TestManifoldCommand::test_non_finite_value_is_numerical_failure",)),
     Mutant("tau-range-unchecked", "src/sfm/cli.py",
            "    if not math.isfinite(args.tau_max - args.tau_min):",
            "    if False:",
@@ -262,49 +267,59 @@ MUTANTS = (
 )
 
 
-def run_tests(tree: Path, tests) -> int:
-    """pytest's exit code for ``tests`` in the copy at ``tree``; a timeout counts as 1."""
+def run_pytest(tree: Path, args, env=os.environ) -> int | None:
+    """pytest's exit code for ``args`` run in ``tree`` under ``env``; None on a timeout."""
     # No bytecode: a mutant of the same size written within the same second
     # would otherwise import the previous run's cached module.
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+    env = {**env, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (str(tree / "src"),
-                                                        os.environ.get("PYTHONPATH"))))}
+                                                        env.get("PYTHONPATH"))))}
     try:
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
-        return 1                        # a mutant that hangs its tests is caught
+        return None
+
+
+def select(rows, argv, noun: str, line, description: str):
+    """The rows that ``argv`` names by id (all, in table order, if none), or None once
+    ``--list`` has printed ``line(row)`` for each; an unknown id exits 2."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("ids", nargs="*", help=f"{noun} ids to run (default: all)")
+    parser.add_argument("--list", action="store_true", help=f"list the {noun}s and exit")
+    args = parser.parse_args(argv)
+    by_id = {row.id: row for row in rows}
+    unknown = [i for i in args.ids if i not in by_id]
+    if unknown:
+        parser.error(f"unknown {noun} id(s): {', '.join(unknown)}")
+    chosen = [by_id[i] for i in args.ids] or list(rows)
+    if args.list:
+        print("".join(f"{line(row)}\n" for row in chosen), end="")
+        return None
+    return chosen
 
 
 def run_mutant(mutant: Mutant, tree: Path) -> str:
-    """'killed', 'survived' or 'error' for one mutant applied to the copy at ``tree``."""
+    """'killed' (a timeout too), 'survived' or 'error' for one mutant applied at ``tree``."""
     path = tree / mutant.file
     original = path.read_text()
     if original.count(mutant.old) != 1:
         return "error"
     path.write_text(original.replace(mutant.old, mutant.new))
     try:
-        code = run_tests(tree, mutant.tests)
+        code = run_pytest(tree, ["-x", *mutant.tests])
     finally:
         path.write_text(original)
-    return {0: "survived", 1: "killed"}.get(code, "error")
+    return {0: "survived", 1: "killed", None: "killed"}.get(code, "error")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ids", nargs="*", help="mutant ids to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
-    args = parser.parse_args(argv)
-    by_id = {mutant.id: mutant for mutant in MUTANTS}
-    unknown = [i for i in args.ids if i not in by_id]
-    if unknown:
-        parser.error(f"unknown mutant id(s): {', '.join(unknown)}")
-    chosen = [by_id[i] for i in args.ids] or list(MUTANTS)
-    if args.list:
-        for mutant in chosen:
-            print(f"{mutant.id:28} {mutant.file:20} {' '.join(mutant.tests)}")
+    chosen = select(MUTANTS, argv, "mutant",
+                    lambda mutant: f"{mutant.id:28} {mutant.file:20} {' '.join(mutant.tests)}",
+                    __doc__.splitlines()[0])
+    if chosen is None:
         return 0
     with tempfile.TemporaryDirectory(prefix="sfm-mutants-") as tmp:
         tree = Path(tmp)
@@ -316,7 +331,7 @@ def main(argv=None) -> int:
             else:
                 shutil.copy2(source, tree / name)
         tests = list(dict.fromkeys(test for mutant in chosen for test in mutant.tests))
-        if run_tests(tree, tests) != 0:
+        if run_pytest(tree, ["-x", *tests]) != 0:
             print("the unmutated copy fails its tests; no mutant was run", file=sys.stderr)
             return 2
         outcomes = []

@@ -22,9 +22,7 @@ pytest gave no report under some setting. Only the standard library is used.
 
 from __future__ import annotations
 
-import argparse
 import os
-import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ElementTree
@@ -32,8 +30,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600
+from mutants import ROOT, TIMEOUT_S, run_pytest, select
+
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
@@ -64,18 +62,10 @@ def run_setting(setting: Setting) -> Run:
     """pytest on ``tests/`` in a child process whose environment adds ``setting.env``."""
     env = {name: value for name, value in os.environ.items() if name not in SET_BY_SOME_ROW}
     env.update(setting.env)
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
-                                                      os.environ.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory(prefix="sfm-portability-") as tmp:
         report = Path(tmp) / "report.xml"
-        try:
-            code = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 f"--junitxml={report}", "tests"],
-                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT_S).returncode
-        except subprocess.TimeoutExpired:
+        code = run_pytest(ROOT, [f"--junitxml={report}", "tests"], env)
+        if code is None:
             return Run(0, {}, f"timed out after {TIMEOUT_S} s")
         if code not in (0, 1) or not report.is_file():
             return Run(0, {}, f"pytest exited {code}")
@@ -99,18 +89,10 @@ def describe(setting: Setting) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("ids", nargs="*", help="setting ids to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the settings and exit")
-    args = parser.parse_args(argv)
-    by_id = {setting.id: setting for setting in SETTINGS}
-    unknown = [i for i in args.ids if i not in by_id]
-    if unknown:
-        parser.error(f"unknown setting id(s): {', '.join(unknown)}")
-    chosen = [by_id[i] for i in args.ids] or list(SETTINGS)
-    if args.list:
-        for setting in chosen:
-            print(f"{setting.id:20} {describe(setting)}")
+    chosen = select(SETTINGS, argv, "setting",
+                    lambda setting: f"{setting.id:20} {describe(setting)}",
+                    __doc__.splitlines()[0])
+    if chosen is None:
         return 0
     broken = False
     for setting in chosen:
