@@ -23,7 +23,6 @@ which gives two useful exact tools:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,35 +216,37 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
     )
 
 
-def trace_manifold(m: MomentSet, tau_grid: Iterable[float],
+def trace_manifold(m: MomentSet, tau_grid: np.ndarray | list[float] | tuple[float, ...],
                    options: ModelOptions = DEFAULT_OPTIONS) -> Manifold:
     """Solve r2 = r3 = r4 = 0 exactly for (b, w, d) at each tau in the grid.
 
     The leftover residual is r5 = -gap by the structural identity. The 3x3
     subsystem has determinant k = tau*rho*sigma_x*sigma_r; k = 0 (tau = 0 or
-    rho = 0) makes it singular. The grid is solved in blocks of
-    MANIFOLD_BLOCK values, one batched gesv call per block, straight into
-    the columns of the returned Manifold.
+    rho = 0) makes it singular. The grid, a sequence or 1-D array, is copied
+    and solved under one float-error guard, one batched gesv call per
+    MANIFOLD_BLOCK values, into the returned Manifold's columns, all finite.
 
     Raises:
         SingularSubsystemError: naming the first grid point that is not
             finite, if its 3x3 determinant is 0 (k = 0, or 1 +- k rounds to 1).
         OverflowError: naming that point otherwise.
     """
-    taus = np.fromiter(tau_grid, dtype=float)
+    taus = np.array(tau_grid, dtype=float)
     n = len(taus)
     factors = np.empty((n, 3))
     residuals = np.empty((n, 4))
     norms = np.empty(n)
-    for start in range(0, n, MANIFOLD_BLOCK):
-        rows = slice(start, start + MANIFOLD_BLOCK)
-        tau = taus[rows]
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, MANIFOLD_BLOCK):
+            rows = slice(start, start + MANIFOLD_BLOCK)
+            tau = taus[rows]
             a, c = affine_system(m, tau, options)
             v = _gesv(a[:, :3], -c[:, :3], signature="dd->d")   # a zero pivot gives a nan row
             r = np.add((a @ v[..., None])[..., 0], c, out=residuals[rows])
             f = np.exp(v, out=factors[rows])
-            finite = np.isfinite(r).all(axis=1) & np.isfinite(f).all(axis=1)
+            # A row's norm is finite only if each of its residuals is.
+            norm = norms[rows] = np.linalg.norm(r, axis=1)
+            finite = np.isfinite(norm) & np.isfinite(f).all(axis=1)
             if not finite.all():
                 i = np.argmin(finite)
                 # A's r3 coefficient on b is k, the determinant of rows r2-r4.
@@ -254,7 +255,6 @@ def trace_manifold(m: MomentSet, tau_grid: Iterable[float],
                         f"subsystem in (b, w, d) is singular at tau = {tau[i]} (k = {a[i, 1, 0]})"
                     )
                 raise OverflowError(f"manifold point at tau = {tau[i]} is not finite")
-        norms[rows] = np.linalg.norm(r, axis=1)
     for column in (taus, factors, residuals, norms):
         column.flags.writeable = False
     return Manifold(taus, factors, residuals, norms)

@@ -49,11 +49,16 @@ CONTRACT = {
 }
 
 
-def loaded_by(code: str, env=None):
+def loaded_by(code: str, openblas=None):
     """The modules a fresh interpreter holds after ``code``, and the value ``code`` left in ``result``.
 
-    The probe prints a repr, not JSON, so that it loads no module of its own.
+    The child starts without OPENBLAS_NUM_THREADS, as ``fresh_run``'s does,
+    or with it set to ``openblas``. The probe prints a repr, not JSON, so
+    that it loads no module of its own.
     """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     probe = f"import sys\nresult = None\n{code}\nprint(repr([sorted(sys.modules), result]))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120, env=env)
@@ -62,52 +67,50 @@ def loaded_by(code: str, env=None):
 
 
 def run_main(argv) -> str:
-    """Code that runs the console entry point as ``sfm <argv>`` does, up to its exit."""
+    """Code that runs the console entry point as ``sfm <argv>`` does, up to its exit.
+
+    It leaves in ``result`` the exit code, whether the cyclic collector is on,
+    whether any object is frozen, and OPENBLAS_NUM_THREADS.
+    """
     return (f"from sfm.cli import main\nsys.argv = ['sfm', *{argv!r}]\n"
-            "try:\n    main()\nexcept SystemExit as exc:")
+            "try:\n    main()\nexcept SystemExit as exc:\n    import gc, os\n"
+            "    result = [exc.code, gc.isenabled(), gc.get_freeze_count() > 0,\n"
+            "              os.environ.get('OPENBLAS_NUM_THREADS')]")
+
+
+# A fresh main runs its command without the cyclic collector and with one
+# OpenBLAS thread, and freezes what it left: frozen objects sit in the
+# permanent generation, which the shutdown collections skip.
+FRESH = [False, True, "1"]
 
 
 @pytest.mark.parametrize("row", list(CONTRACT))
 def test_command_loads_only_its_modules(row):
     argv, exit_code, submodules, heavy = CONTRACT[row]
-    if argv is None:
-        code = "import sfm"
-    else:
-        # The console entry point, as ``sfm <argv>`` runs it.
-        code = run_main(argv) + "\n    result = exc.code"
-    modules, result = loaded_by(code)
-    assert result == exit_code
+    # The console entry point, as ``sfm <argv>`` runs it.
+    modules, result = loaded_by("import sfm" if argv is None else run_main(argv))
+    assert result == (None if argv is None else [exit_code, *FRESH])
     assert sorted(m for m in modules if m.startswith("sfm.")) == submodules
     assert [m for m in HEAVY if m in modules] == list(heavy)
 
 
+# Unset, the variable reads "1" after each CONTRACT row; numpy loaded first, see below.
 @pytest.mark.parametrize("user_value, numpy_first, expected", [
-    (None, False, "1"),     # unset: main asks for one thread before numpy loads
     ("3", False, "3"),      # the user's value wins
-    (None, True, None),     # numpy already loaded: os.environ is left alone
 ])
 def test_main_defaults_openblas_to_one_thread(user_value, numpy_first, expected):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if user_value is not None:
-        env["OPENBLAS_NUM_THREADS"] = user_value
     code = ("import numpy\n" if numpy_first else "") + run_main(["moments", "--data", DATA])
-    code += "\n    import os\n    result = [exc.code, os.environ.get('OPENBLAS_NUM_THREADS')]"
-    assert loaded_by(code, env)[1] == [0, expected]
+    code_seen, *_, openblas = loaded_by(code, user_value)[1]
+    assert [code_seen, openblas] == [0, expected]
 
 
-@pytest.mark.parametrize("numpy_first", [False, True])
+# The fresh case, numpy not loaded first, is each CONTRACT row's.
+@pytest.mark.parametrize("numpy_first", [True])
 @pytest.mark.parametrize("row", ["moments", "usage-error", "moments-missing-data"])
 def test_fresh_main_freezes_its_heap_before_exit(row, numpy_first):
-    # A fresh main runs its command without the cyclic collector, and freezes
-    # what it left: frozen objects sit in the permanent generation, which the
-    # shutdown collections skip.
+    # A process that already holds numpy is left as it is: the collector on,
+    # nothing frozen and OPENBLAS_NUM_THREADS unset.
     argv, exit_code = CONTRACT[row][:2]
     code = ("import numpy\n" if numpy_first else "") + run_main(argv)
-    code += "\n    import gc\n    result = [exc.code, gc.isenabled(), gc.get_freeze_count()]"
-    code_seen, enabled, frozen = loaded_by(code)[1]
-    assert code_seen == exit_code
-    if numpy_first:
-        # A process that already holds numpy is left as it is.
-        assert (enabled, frozen) == (True, 0)
-    else:
-        assert (enabled, frozen > 0) == (False, True)
+    expected = [True, False, None] if numpy_first else FRESH
+    assert loaded_by(code)[1] == [exit_code, *expected]

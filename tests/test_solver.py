@@ -419,7 +419,9 @@ class TestTraceManifold:
     )
     def test_zeroes_first_three_leaves_effective_gap(self, m, taus, options):
         gap = effective_gap(m, options)
-        for pt in trace_manifold(m, taus, options):
+        manifold = trace_manifold(m, taus, options)
+        assert all(np.isfinite(column).all() for column in columns(manifold))
+        for pt in manifold:
             r = pt.residuals
             assert max(abs(r.r2), abs(r.r3), abs(r.r4)) <= 1e-10
             assert r.r5 == pytest.approx(-gap, abs=1e-10)
@@ -495,10 +497,21 @@ class TestTraceManifold:
         empty = trace_manifold(bundled_moments, [])
         assert [column.shape for column in columns(empty)] == [(0,), (0, 3), (0, 4), (0,)]
         assert list(empty) == []
-        taus = [0.5, 1.5, 2.5]
-        from_generator = trace_manifold(bundled_moments, (t for t in taus))
-        for a, b in zip(columns(from_generator), columns(trace_manifold(bundled_moments, taus))):
-            assert np.array_equal(a, b)
+        # Any sequence or array of the same taus gives the same bytes; an iterator is refused.
+        taus = [1, 2, 3]
+        expected = [column.tobytes() for column in columns(trace_manifold(bundled_moments, taus))]
+        for grid in (tuple(taus), np.array(taus, dtype=float), np.array(taus)):
+            assert [column.tobytes() for column in
+                    columns(trace_manifold(bundled_moments, grid))] == expected
+        with pytest.raises(TypeError):
+            trace_manifold(bundled_moments, (t for t in taus))
+
+    def test_grid_is_copied(self, bundled_moments):
+        grid = np.linspace(0.5, 2.5, 3)
+        manifold = trace_manifold(bundled_moments, grid)
+        assert grid.flags.writeable
+        grid[:] = 1.0
+        assert manifold.tau.tolist() == [0.5, 1.5, 2.5]
 
     def test_parameters_vary_continuously(self, bundled_moments):
         points = trace_manifold(bundled_moments, np.linspace(0.5, 5.0, 451))

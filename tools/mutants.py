@@ -14,9 +14,15 @@ is never edited. A fault may take one row per test that must catch it
 
 Known equivalent, so not in the table: ``trace_manifold`` blocks one row
 longer (start + MANIFOLD_BLOCK + 1), so that consecutive blocks overlap by
-one row, which the next block recomputes to the same bits; and the row
+one row, which the next block recomputes to the same bits; the row
 template of ``sfm manifold`` with ``%s`` fields for ``%r``, since a float's
-``str`` is its ``repr`` in Python 3. No test can tell either apart.
+``str`` is its ``repr`` in Python 3; and ``trace_manifold``'s finite check
+reading ``np.isfinite(r).all(axis=1)`` for the row norms. The two differ
+only where every residual is finite and a square overflows, past 1.3e154,
+but a factor overflows long before: the factors are exp(b, w, d) with
+b + w + d = S, so d, about S + tau^2 sigma2_x / 2 at moderate |S|, passes
+709 first, and at huge |S| beta or delta does. No test can tell any of the
+three apart.
 
     python3 tools/mutants.py              # every mutant, about 2-10 s each
     python3 tools/mutants.py pairwise-edge tau-range-unchecked
@@ -88,6 +94,10 @@ MUTANTS = (
            "    table.flags.writeable = False\n",
            "",
            ("tests/test_model.py",)),
+    Mutant("manifold-grid-aliased", "src/sfm/solver.py",
+           "np.array(tau_grid, dtype=float)",
+           "np.asarray(tau_grid, dtype=float)",
+           ("tests/test_solver.py::TestTraceManifold::test_grid_is_copied",)),
     Mutant("manifold-log-scale", "src/sfm/solver.py",
            "f = np.exp(v, out=factors[rows])",
            "f = np.exp(v * (1 + 1e-14), out=factors[rows])",
