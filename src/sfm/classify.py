@@ -12,25 +12,20 @@ published risk-free row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import MarketSeries, growth_series
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class InvestorReport:
+class InvestorReport(Record):
     """One output row: parameters, utilities, and the attitude label."""
 
-    investor: str
-    stdf: float
-    sfom: float
-    crra: float
-    certain_utility: float
-    uncertain_utility: float
-    label: str
-    year: int
+    def __init__(self, investor: str, stdf: float, sfom: float, crra: float,
+                 certain_utility: float, uncertain_utility: float, label: str, year: int):
+        vars(self).update(investor=investor, stdf=stdf, sfom=sfom, crra=crra,
+                          certain_utility=certain_utility,
+                          uncertain_utility=uncertain_utility, label=label, year=year)
 
 
 def crra_utility(c: float, tau: float) -> float:

@@ -19,7 +19,7 @@ import os
 import sys
 from collections import namedtuple
 
-from .errors import MIN_DRAWS, DataError, SolverError
+from .errors import MAX_DRAWS, MIN_DRAWS, DataError, SolverError
 
 # The published table's leading columns: the investor and its three parameters.
 _PARAM_HEADER = f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"
@@ -91,7 +91,8 @@ _step_count = _checked(
     int, lambda value: 1 <= value <= MAX_STEPS, f"must be an integer in [1, {MAX_STEPS}]"
 )
 _draw_count = _checked(
-    int, lambda value: value >= MIN_DRAWS, f"must be an integer >= {MIN_DRAWS}"
+    int, lambda value: MIN_DRAWS <= value <= MAX_DRAWS,
+    f"must be an integer in [{MIN_DRAWS}, {MAX_DRAWS}]",
 )
 
 

@@ -9,24 +9,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, Record
 
 CSV_HEADER = ("year", "consumption", "equity_return", "riskfree_return")
 
 
-@dataclass(frozen=True)
-class MarketSeries:
+class MarketSeries(Record):
     """The annual table as four columns; years strictly consecutive, length >= 3."""
 
-    years: tuple[int, ...]
-    consumption: tuple[float, ...]
-    equity_return: tuple[float, ...]
-    riskfree_return: tuple[float, ...]
-
-    def __post_init__(self):
+    def __init__(self, years: tuple[int, ...], consumption: tuple[float, ...],
+                 equity_return: tuple[float, ...], riskfree_return: tuple[float, ...]):
+        vars(self).update(years=years, consumption=consumption, equity_return=equity_return,
+                          riskfree_return=riskfree_return)
         if len(self.years) < 3:
             raise DataError(f"series needs at least 3 years, got {len(self.years)}")
         if len({len(column) for column in vars(self).values()}) != 1:
@@ -47,14 +43,12 @@ class MarketSeries:
         return self.consumption[year - first]
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(Record):
     """Paired observations as four columns: growth x_t = c_t / c_{t-1} with year-t returns."""
 
-    years: tuple[int, ...]
-    x: tuple[float, ...]
-    r_e: tuple[float, ...]
-    r_f: tuple[float, ...]
+    def __init__(self, years: tuple[int, ...], x: tuple[float, ...], r_e: tuple[float, ...],
+                 r_f: tuple[float, ...]):
+        vars(self).update(years=years, x=x, r_e=r_e, r_f=r_f)
 
     def __len__(self) -> int:
         return len(self.years)

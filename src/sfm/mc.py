@@ -19,12 +19,11 @@ from those sums in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MIN_DRAWS
+from .errors import MIN_DRAWS, Record
 from .model import lognormal_power_cov
 
 _CHUNK = 1 << 19
@@ -35,17 +34,11 @@ _BLOCK = 1 << 14  # draws per block; a block's arrays stay in cache
 Z_MAX = 4.0
 
 
-@dataclass(frozen=True)
-class BivariateLogNormalSpec:
+class BivariateLogNormalSpec(Record):
     """Jointly lognormal pair, parameterized in log space."""
 
-    mu_x: float
-    sigma_x: float
-    mu_y: float
-    sigma_y: float
-    rho: float
-
-    def __post_init__(self):
+    def __init__(self, mu_x: float, sigma_x: float, mu_y: float, sigma_y: float, rho: float):
+        vars(self).update(mu_x=mu_x, sigma_x=sigma_x, mu_y=mu_y, sigma_y=sigma_y, rho=rho)
         if not all(map(math.isfinite, (self.mu_x, self.sigma_x, self.mu_y, self.sigma_y))):
             raise ValueError("mu_x, sigma_x, mu_y and sigma_y must be finite")
         if self.sigma_x < 0 or self.sigma_y < 0:
@@ -54,42 +47,29 @@ class BivariateLogNormalSpec:
             raise ValueError("rho must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class PowerCovSample:
-    a: float
-    b: float
-    value: float
-    std_error: float
+class PowerCovSample(Record):
+    def __init__(self, a: float, b: float, value: float, std_error: float):
+        vars(self).update(a=a, b=b, value=value, std_error=std_error)
 
 
-@dataclass(frozen=True)
-class SampleSummary:
-    n: int
-    seed: int
-    mean_x: float
-    mean_y: float
-    se_mean_x: float
-    se_mean_y: float
-    power_covs: tuple[PowerCovSample, ...]
+class SampleSummary(Record):
+    def __init__(self, n: int, seed: int, mean_x: float, mean_y: float, se_mean_x: float,
+                 se_mean_y: float, power_covs: tuple[PowerCovSample, ...]):
+        vars(self).update(n=n, seed=seed, mean_x=mean_x, mean_y=mean_y, se_mean_x=se_mean_x,
+                          se_mean_y=se_mean_y, power_covs=power_covs)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    kind: str            # "power-cov" | "marginal-x" | "marginal-y"
-    closed_form: float
-    sample: float
-    std_error: float
-    z: float
-    ok: bool
+class IdentityCheck(Record):
+    def __init__(self, name: str,
+                 kind: str,          # "power-cov" | "marginal-x" | "marginal-y"
+                 closed_form: float, sample: float, std_error: float, z: float, ok: bool):
+        vars(self).update(name=name, kind=kind, closed_form=closed_form, sample=sample,
+                          std_error=std_error, z=z, ok=ok)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    draws: int
-    seed: int
-    cases: tuple[IdentityCheck, ...]
+class ValidationReport(Record):
+    def __init__(self, ok: bool, draws: int, seed: int, cases: tuple[IdentityCheck, ...]):
+        vars(self).update(ok=ok, draws=draws, seed=seed, cases=cases)
 
 
 def _pair(spec: BivariateLogNormalSpec, zx, z_perp, lx, ly, x, y):

@@ -42,27 +42,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .moments import MomentSet
 
 EQ3_VARIANTS = ("printed", "rederived")
 LNEX_MODES = ("arithmetic", "lognormal_implied")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """The four unknowns, all finite; beta, omega, delta must be positive (logs exist)."""
 
-    beta: float
-    omega: float
-    delta: float
-    tau: float
-
-    def __post_init__(self):
+    def __init__(self, beta: float, omega: float, delta: float, tau: float):
+        vars(self).update(beta=beta, omega=omega, delta=delta, tau=tau)
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be a finite number, got {value}")
@@ -78,12 +72,9 @@ class ModelParams:
                          self.tau])
 
 
-@dataclass(frozen=True)
-class ModelOptions:
-    eq3_variant: str = "printed"
-    lnex_mode: str = "arithmetic"
-
-    def __post_init__(self):
+class ModelOptions(Record):
+    def __init__(self, eq3_variant: str = "printed", lnex_mode: str = "arithmetic"):
+        vars(self).update(eq3_variant=eq3_variant, lnex_mode=lnex_mode)
         if self.eq3_variant not in EQ3_VARIANTS:
             raise ValueError(f"eq3_variant must be one of {EQ3_VARIANTS}")
         if self.lnex_mode not in LNEX_MODES:
@@ -93,13 +84,9 @@ class ModelOptions:
 DEFAULT_OPTIONS = ModelOptions()
 
 
-@dataclass(frozen=True)
-class Residuals:
-    r2: float
-    r3: float
-    r4: float
-    r5: float
-    norm: float
+class Residuals(Record):
+    def __init__(self, r2: float, r3: float, r4: float, r5: float, norm: float):
+        vars(self).update(r2=r2, r3=r3, r4=r4, r5=r5, norm=norm)
 
 
 _POWERS = np.arange(3.0)

@@ -23,11 +23,10 @@ which gives two useful exact tools:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSubsystemError, SolverError
+from .errors import Record, SingularSubsystemError, SolverError
 from .model import (
     DEFAULT_OPTIONS,
     ModelOptions,
@@ -64,29 +63,26 @@ MANIFOLD_BLOCK = 256
 CANONICAL_INITIAL = ModelParams(beta=0.99, omega=1.0, delta=1.0, tau=2.0)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    initial: ModelParams = CANONICAL_INITIAL
-    options: ModelOptions = DEFAULT_OPTIONS
+class SolverConfig(Record):
+    def __init__(self, initial: ModelParams = CANONICAL_INITIAL,
+                 options: ModelOptions = DEFAULT_OPTIONS):
+        vars(self).update(initial=initial, options=options)
 
 
-@dataclass(frozen=True)
-class Solution:
-    params: ModelParams
-    residuals: Residuals
-    iterations: int
-    converged: str                       # "residual" | "step" | "max-iter"
-    jacobian_singular_values: tuple[float, float, float, float]
-    numerical_rank: int
+class Solution(Record):
+    def __init__(self, params: ModelParams, residuals: Residuals, iterations: int,
+                 converged: str,             # "residual" | "step" | "max-iter"
+                 jacobian_singular_values: tuple[float, float, float, float],
+                 numerical_rank: int):
+        vars(self).update(params=params, residuals=residuals, iterations=iterations,
+                          converged=converged, jacobian_singular_values=jacobian_singular_values,
+                          numerical_rank=numerical_rank)
 
 
-@dataclass(frozen=True)
-class ManifoldPoint:
-    tau: float
-    beta: float
-    omega: float
-    delta: float
-    residuals: Residuals
+class ManifoldPoint(Record):
+    def __init__(self, tau: float, beta: float, omega: float, delta: float,
+                 residuals: Residuals):
+        vars(self).update(tau=tau, beta=beta, omega=omega, delta=delta, residuals=residuals)
 
 
 class Manifold:
@@ -96,9 +92,8 @@ class Manifold:
     (n, 4) for r2..r5 and their ``norms`` (n,); trace_manifold returns them
     read-only. Iteration yields one ManifoldPoint per row, built from the
     row only when it is reached, so reading every point costs about what
-    building the list of points did; the repr is the repr of that list. A
-    plain class, not a dataclass: creating a dataclass costs about 0.4 ms of
-    every import.
+    building the list of points did; the repr is the repr of that list. Not
+    a Record: its fields are arrays, which compare element by element.
     """
 
     __slots__ = ("tau", "factors", "residuals", "norms")
@@ -117,20 +112,18 @@ class Manifold:
             for tau, (beta, omega, delta), (r2, r3, r4, r5), norm in zip(
                     self.tau[rows].tolist(), self.factors[rows].tolist(),
                     self.residuals[rows].tolist(), self.norms[rows].tolist()):
-                # Positional: a frozen dataclass takes keywords about a quarter slower.
+                # Positional: keywords make each point about 40% slower to build.
                 yield ManifoldPoint(tau, beta, omega, delta, Residuals(r2, r3, r4, r5, norm))
 
     def __repr__(self) -> str:
         return repr(list(self))
 
 
-@dataclass(frozen=True)
-class RankReport:
-    singular_values: tuple[float, float, float, float]
-    numerical_rank: int
-    gap: float
-    residual_floor: float
-    euler_gap: float
+class RankReport(Record):
+    def __init__(self, singular_values: tuple[float, float, float, float], numerical_rank: int,
+                 gap: float, residual_floor: float, euler_gap: float):
+        vars(self).update(singular_values=singular_values, numerical_rank=numerical_rank,
+                          gap=gap, residual_floor=residual_floor, euler_gap=euler_gap)
 
 
 def _jacobian_rank(jac: np.ndarray):

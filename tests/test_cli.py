@@ -29,6 +29,7 @@ from sfm import (
     trace_manifold,
 )
 from sfm.cli import _build_parser, main, run_command, to_json
+from sfm.errors import MAX_DRAWS, MIN_DRAWS
 
 from conftest import DATA_PATH
 from helpers import END_POINT_FAILURES, PROPERTY_SETTINGS, fresh_run
@@ -310,6 +311,7 @@ class TestExitCodes:
         (["validate", "--draws", "-5"], "--draws"),
         (["validate", "--draws", "1"], "--draws"),
         (["validate", "--draws", "9999"], "--draws"),
+        (["validate", "--draws", "100000000000000000000"], "--draws"),
         (["solve", "--data", DATA, "--beta0", "0"], "--beta0"),
         (["solve", "--data", DATA, "--beta0", "-1"], "--beta0"),
         (["solve", "--data", DATA, "--omega0", "0"], "--omega0"),
@@ -325,7 +327,7 @@ class TestExitCodes:
     ], ids=["seed-negative", "tau-max-nan", "tau-min-inf", "beta0-nan", "omega0-inf",
             "delta0-inf", "tau0-nan", "beta-nan", "tau-inf", "sfom-equity-nan",
             "sfom-riskfree-inf", "draws-zero", "draws-negative", "draws-one", "draws-9999",
-            "beta0-zero", "beta0-negative", "omega0-zero", "delta0-negative",
+            "draws-huge", "beta0-zero", "beta0-negative", "omega0-zero", "delta0-negative",
             "sfom-equity-zero", "sfom-riskfree-negative", "beta-zero", "beta-negative",
             "steps-zero", "steps-huge"])
     def test_bad_value_is_usage_error_on_stderr(self, argv, flag, monkeypatch, capsys):
@@ -333,6 +335,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert flag in err
+
+    def test_draw_count_bounds_are_inclusive(self):
+        # Parsed only: a run of MAX_DRAWS draws takes minutes.
+        parser = _build_parser()
+        for draws in (MIN_DRAWS, MAX_DRAWS):
+            assert parser.parse_args(["validate", "--draws", str(draws)]).draws == draws
+        outcome = run_command(["validate", "--draws", str(MAX_DRAWS + 1)])
+        assert outcome == (1, "sfm validate: argument --draws: must be an integer in "
+                              f"[{MIN_DRAWS}, {MAX_DRAWS}], got '{MAX_DRAWS + 1}'")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_json_refuses_non_finite_numbers(self, value):

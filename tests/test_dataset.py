@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sfm import DataError, growth_series, load_series
+from sfm import DataError, MarketSeries, growth_series, load_series
 from sfm.dataset import CSV_HEADER
 
 from conftest import DATA_PATH, ROOT
@@ -156,7 +155,7 @@ class TestLoadSeries:
     def test_short_column_rejected(self, minimal_csv):
         series = load_series(minimal_csv)
         with pytest.raises(DataError, match="one value per year"):
-            dataclasses.replace(series, riskfree_return=series.riskfree_return[1:])
+            MarketSeries(**{**vars(series), "riskfree_return": series.riskfree_return[1:]})
 
 
 class TestGrowthSeries:

@@ -32,7 +32,7 @@ CONTRACT = {
                  ["sfm.cli", "sfm.dataset", "sfm.errors", "sfm.mc", "sfm.model", "sfm.moments"],
                  HEAVY),
     "classify": (["classify", "--data", DATA, *CLASSIFY_FLAGS], 0,
-                 ["sfm.classify", *LOADER], ["dataclasses"]),
+                 ["sfm.classify", *LOADER], []),
     "usage-error": (["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2",
                      "--steps", "0"], 1, ["sfm.cli", "sfm.errors"], []),
     "manifold-tau-range": (["manifold", "--data", DATA, "--tau-min=-1e308", "--tau-max",
@@ -40,12 +40,12 @@ CONTRACT = {
     "validate-bad-seed": (["validate", "--draws", "10000", "--seed", "-1"], 1,
                           ["sfm.cli", "sfm.errors"], []),
     "validate-few-draws": (["validate", "--draws", "5"], 1, ["sfm.cli", "sfm.errors"], []),
-    "moments-missing-data": (["moments", "--data", MISSING], 2, LOADER, ["dataclasses"]),
-    "solve-missing-data": (["solve", "--data", MISSING], 2, LOADER, ["dataclasses"]),
-    "manifold-missing-data": (["manifold", "--data", MISSING, *MANIFOLD_FLAGS], 2,
-                              LOADER, ["dataclasses"]),
-    "classify-missing-data": (["classify", "--data", MISSING, *CLASSIFY_FLAGS], 2,
-                              LOADER, ["dataclasses"]),
+    "validate-many-draws": (["validate", "--draws", "1000000001"], 1,
+                            ["sfm.cli", "sfm.errors"], []),
+    "moments-missing-data": (["moments", "--data", MISSING], 2, LOADER, []),
+    "solve-missing-data": (["solve", "--data", MISSING], 2, LOADER, []),
+    "manifold-missing-data": (["manifold", "--data", MISSING, *MANIFOLD_FLAGS], 2, LOADER, []),
+    "classify-missing-data": (["classify", "--data", MISSING, *CLASSIFY_FLAGS], 2, LOADER, []),
 }
 
 

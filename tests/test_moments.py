@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import statistics
 import warnings
@@ -10,6 +9,7 @@ from sfm import (
     DataError,
     DegenerateSeriesError,
     GrowthSeries,
+    MarketSeries,
     MomentSet,
     estimate_moments,
     lognormality_gap,
@@ -139,17 +139,19 @@ class TestEstimateMoments:
         # a power-of-two factor keeps the growth ratios bit-exact.
         from sfm import growth_series
 
-        scaled = dataclasses.replace(
-            bundled_series, consumption=tuple(c * 4.0 for c in bundled_series.consumption)
-        )
+        scaled = MarketSeries(**{
+            **vars(bundled_series),
+            "consumption": tuple(c * 4.0 for c in bundled_series.consumption),
+        })
         assert estimate_moments(growth_series(scaled)) == bundled_moments
 
     def test_scale_invariance_general_factor(self, bundled_series, bundled_moments):
         from sfm import growth_series
 
-        scaled = dataclasses.replace(
-            bundled_series, consumption=tuple(c * 3.7 for c in bundled_series.consumption)
-        )
+        scaled = MarketSeries(**{
+            **vars(bundled_series),
+            "consumption": tuple(c * 3.7 for c in bundled_series.consumption),
+        })
         m = estimate_moments(growth_series(scaled))
         assert m.mu_x == pytest.approx(bundled_moments.mu_x, abs=1e-12)
         assert m.sigma2_x == pytest.approx(bundled_moments.sigma2_x, rel=1e-10)

@@ -269,6 +269,19 @@ MUTANTS = (
            "            yield zx[lo:hi], z_perp[:hi - lo]\n",
            "            if index or lo:\n                yield zx[lo:hi], z_perp[:hi - lo]\n",
            ("tests/test_mc.py::TestSamplePairs::test_chunked_accumulation_matches_direct_numpy",)),
+    Mutant("record-setattr-dropped", "src/sfm/errors.py",
+           "    def __setattr__(self, name, value):\n"
+           "        raise AttributeError(f\"cannot assign to field {name!r}\")\n\n",
+           "",
+           ("tests/test_records.py::test_fields_are_read_only",)),
+    Mutant("record-eq-any-class", "src/sfm/errors.py",
+           "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+           "",
+           ("tests/test_records.py::test_a_record_of_another_type_is_never_equal",)),
+    Mutant("residuals-r3-r4-swap", "src/sfm/model.py",
+           "vars(self).update(r2=r2, r3=r3, r4=r4, r5=r5, norm=norm)",
+           "vars(self).update(r2=r2, r3=r4, r4=r3, r5=r5, norm=norm)",
+           ("tests/test_cli.py::TestSolveGolden",)),
     Mutant("bundled-rho-data", "src/sfm/mc.py",
            "0.15573663581568173, 0.4\n",
            "0.15573663581568173, 0.39999999999999997\n",

@@ -70,6 +70,7 @@ COMMANDS = (
     (1, ("manifold", *DATA, "--tau-min", "0.5", "--tau-max", "5", "--steps", "0")),
     (0, ("validate", "--draws", "10000", "--seed", "7", "--format", "json")),
     (1, ("validate", "--draws", "5")),
+    (1, ("validate", "--draws", "100000000000000000000")),
     (0, CLASSIFY),
     (0, (*CLASSIFY, "--format", "json")),
     (0, (*CLASSIFY, "--tau", "1")),
