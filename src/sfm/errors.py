@@ -3,8 +3,8 @@ draw limits that the CLI checks before it loads numpy."""
 
 # Fewest draws the identity battery accepts (``mc.validate_identities``).
 MIN_DRAWS = 10_000
-# Most draws ``sfm validate`` accepts: a battery draw takes about 120 ns (2 cores),
-# so 1e9 draws take about 2 minutes.
+# Most draws ``sfm validate`` accepts: a battery draw takes about 100 ns (2 cores),
+# so 1e9 draws take under 2 minutes.
 MAX_DRAWS = 1_000_000_000
 
 

@@ -13,7 +13,9 @@ as x^a = exp(a ln x), one ``exp`` per column. An exponent of 1 reuses the
 group's shifted x or y and their sums, which equal that column bit for bit,
 and a power with an exponent of 0 is skipped: the shifted sums of a constant
 column are exact zeros. The centred moments and their standard errors follow
-from those sums in closed form.
+from those sums in closed form. A block's sums of products are taken as two
+BLAS dots of half a block: OpenBLAS splits a dot of more than 10,000
+elements over its threads, which costs more than it saves at this size.
 """
 
 from __future__ import annotations
@@ -98,8 +100,11 @@ def _shift(w: np.ndarray, row: np.ndarray, k: int, first: bool) -> None:
 
 
 def _dot(p: np.ndarray, q: np.ndarray):
-    """Sum of p * q, without a temporary array."""
-    return np.einsum("i,i->", p, q)
+    """Sum of p * q, without a temporary array, as two BLAS dots of half a block."""
+    # OpenBLAS splits a ddot over its threads above 10,000 elements; halves of
+    # at most _BLOCK / 2 = 8,192 keep every dot on the calling thread.
+    h = len(p) >> 1
+    return p[:h].dot(q[:h]) + p[h:].dot(q[h:])
 
 
 def _column(w: np.ndarray, sums, lw: np.ndarray, e: float, out: np.ndarray,

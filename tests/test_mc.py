@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sfm import BivariateLogNormalSpec, lognormal_power_cov, sample_pairs, validate_identities
 from sfm.mc import (
-    _BLOCK, _CHUNK, Z_MAX, PowerCovSample, SampleSummary, _battery, _blocks,
+    _BLOCK, _CHUNK, Z_MAX, PowerCovSample, SampleSummary, _battery, _blocks, _dot,
 )
 
 from helpers import PROPERTY_SETTINGS
@@ -22,6 +22,10 @@ GOLDEN = Path(__file__).parent / "data" / "mc_validation_1e6_seed42.json"
 BATTERY_EXPONENTS = sorted({e for _, _, a, b in _battery() for e in (a, b)})
 BATTERY_SPECS = list(dict.fromkeys(spec for _, spec, _, _ in _battery()))
 BUNDLED_SPEC = next(spec for name, spec, _, _ in _battery() if name.startswith("bundled"))
+
+# OpenBLAS runs a ddot of more than this many elements on its threads; a
+# 10,000-element ddot took 1.00 CPU-s per wall-s on 2 cores, a 10,001-element one 1.66.
+OPENBLAS_DOT_THRESHOLD = 10_000
 
 # 0, or |e| in [0.05, 3]. Not tiny: with b = -2.2e-16 every y^b rounds to
 # 1.0, so the sample covariance is exactly 0 with standard error 0, while the
@@ -185,6 +189,33 @@ class TestSamplePairs:
             whole.append((rng.standard_normal(size), rng.standard_normal(size)))
         for got, want in zip(streamed, (np.concatenate(c) for c in zip(*whole))):
             assert np.array_equal(got, want)
+
+    def test_block_dots_stay_under_the_openblas_threading_threshold(self):
+        # _dot on views of an array whose dot records its length: every BLAS
+        # call must stay on the calling thread, at every block length from 1
+        # to _BLOCK (a dense sample: all up to 64, around the half block and
+        # the threshold, the last few, and every 97th). The value is held to
+        # Higham's bound for a sum of n rounded products in any order,
+        # n eps sum |p_i q_i|, against math.fsum of the products.
+        lengths = []
+
+        class Recording(np.ndarray):
+            def dot(self, other):
+                lengths.append(len(self))
+                return np.ndarray.dot(self.view(np.ndarray), other.view(np.ndarray))
+
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(_BLOCK), rng.standard_normal(_BLOCK)
+        p, q = a.view(Recording), b.view(Recording)
+        half, eps = _BLOCK // 2, np.finfo(float).eps
+        sizes = {*range(1, 65), *range(half - 2, half + 3),
+                 *range(OPENBLAS_DOT_THRESHOLD - 2, OPENBLAS_DOT_THRESHOLD + 3),
+                 *range(_BLOCK - 3, _BLOCK + 1), *range(1, _BLOCK, 97)}
+        for n in sorted(sizes):
+            products = (a[:n] * b[:n]).tolist()
+            got = _dot(p[:n], q[:n])
+            assert abs(got - math.fsum(products)) <= n * eps * math.fsum(map(abs, products)), n
+        assert lengths and max(lengths) <= OPENBLAS_DOT_THRESHOLD
 
     @settings(max_examples=6, derandomize=True, deadline=None, database=None)
     @given(

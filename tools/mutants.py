@@ -269,6 +269,15 @@ MUTANTS = (
            "            yield zx[lo:hi], z_perp[:hi - lo]\n",
            "            if index or lo:\n                yield zx[lo:hi], z_perp[:hi - lo]\n",
            ("tests/test_mc.py::TestSamplePairs::test_chunked_accumulation_matches_direct_numpy",)),
+    Mutant("dot-whole-block", "src/sfm/mc.py",
+           "return p[:h].dot(q[:h]) + p[h:].dot(q[h:])",
+           "return p.dot(q)",
+           ("tests/test_mc.py::TestSamplePairs::"
+            "test_block_dots_stay_under_the_openblas_threading_threshold",)),
+    Mutant("dot-half-swapped", "src/sfm/mc.py",
+           "p[h:].dot(q[h:])",
+           "p[h:].dot(p[h:])",
+           ("tests/test_mc.py::TestSamplePairs::test_chunked_accumulation_matches_direct_numpy",)),
     Mutant("record-setattr-dropped", "src/sfm/errors.py",
            "    def __setattr__(self, name, value):\n"
            "        raise AttributeError(f\"cannot assign to field {name!r}\")\n\n",
