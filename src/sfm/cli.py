@@ -243,9 +243,6 @@ def _cmd_manifold(args) -> str:
     point, close, end = body.rsplit("\n", 2)    # the last two lines: "  ]" and "}"
     row = point.replace('"%r"', "%r")
     values = np.column_stack((manifold.tau, manifold.factors, manifold.residuals, manifold.norms))
-    # json's own check, given the non-finite values: the first one, in document
-    # order, raises its ValueError; with none, this renders "[]".
-    to_json(values[~np.isfinite(values)].tolist())
     return f"{head}[{','.join(row % tuple(v) for v in values.tolist())}\n{close}\n{end}"
 
 

@@ -175,7 +175,7 @@ def solve(m: MomentSet, cfg: SolverConfig | None = None) -> Solution:
             jtj = jac.T.dot(jac)
 
             while lam <= _DAMPING_MAX:
-                step = _gesv(jtj + lam * _IDENTITY, grad, signature="dd->d")
+                step = _gesv(jtj + lam * _IDENTITY, grad)
                 x_new = x - step
                 ac, r_new = _evaluate(table, x_new)
                 norm_new = math.sqrt(r_new.dot(r_new))
@@ -234,7 +234,7 @@ def trace_manifold(m: MomentSet, tau_grid: np.ndarray | list[float] | tuple[floa
             rows = slice(start, start + MANIFOLD_BLOCK)
             tau = taus[rows]
             a, c = affine_system(m, tau, options)
-            v = _gesv(a[:, :3], -c[:, :3], signature="dd->d")   # a zero pivot gives a nan row
+            v = _gesv(a[:, :3], -c[:, :3])   # a zero pivot gives a nan row
             r = np.add((a @ v[..., None])[..., 0], c, out=residuals[rows])
             f = np.exp(v, out=factors[rows])
             # A row's norm is finite only if each of its residuals is.

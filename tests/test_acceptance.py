@@ -18,9 +18,11 @@ from sfm import (
     ModelOptions,
     ModelParams,
     SolverConfig,
+    build_reports,
     classify_attitude,
     crra_utility,
     estimate_moments,
+    growth_series,
     lognormality_gap,
     solve,
     trace_manifold,
@@ -291,6 +293,27 @@ def test_criterion_8_classification_golden():
     assert equity == "insufficient risk-loving"
     assert riskfree == "insufficient risk-loving"
     assert boundary == "neutral"
+
+
+@pytest.mark.parametrize("conv,lnex,eq3", ALL_SETTINGS)
+def test_criterion_8_labels_hold_along_the_bundled_manifold(bundled_series, conv, lnex, eq3):
+    """Both investors are "insufficient risk-loving" at every traced point.
+
+    The data identify only the manifold, not the published point, so the
+    paper's behavioural conclusion is checked on the whole family: tau in
+    [-5, 50] without tau = 0, where the subsystem is singular.
+    """
+    m = estimate_moments(growth_series(bundled_series), conv)
+    grid = np.concatenate((np.linspace(-5.0, -0.05, 15), np.linspace(0.05, 50.0, 45)))
+    manifold = trace_manifold(m, grid, ModelOptions(eq3_variant=eq3, lnex_mode=lnex))
+    labels = {
+        (row.investor, row.label)
+        for tau, (beta, omega, delta) in zip(manifold.tau.tolist(), manifold.factors.tolist())
+        for row in build_reports(bundled_series, 1977, beta, tau, delta, omega)
+    }
+    expected = {("equity", "insufficient risk-loving"), ("risk-free", "insufficient risk-loving")}
+    report(8, labels == expected, f"{conv}/{lnex}/{eq3}: {len(grid)} points, labels {sorted(labels)}")
+    assert labels == expected
 
 
 def test_criterion_9_end_to_end_determinism():

@@ -4,7 +4,6 @@ import csv
 import gzip
 import io
 import json
-import math
 import shutil
 import signal
 import subprocess
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 
 from sfm import (
     CANONICAL_INITIAL,
-    Manifold,
     ModelOptions,
     estimate_moments,
     growth_series,
@@ -508,23 +506,6 @@ class TestManifoldCommand:
     def test_row_template_gives_the_bytes_of_to_json(self, steps, switches):
         payload, reference = self.payload_and_reference(0.05, 8.0, steps, switches)
         assert payload == reference
-
-    def test_non_finite_value_is_numerical_failure(self, monkeypatch, capsys):
-        argv = ["manifold", "--data", DATA, "--tau-min", "1", "--tau-max", "2", "--steps", "3"]
-        # (column, index, value): one value of one column spoiled.
-        for column, index, value in [("norms", 0, math.inf), ("factors", (1, 2), math.nan),
-                                     ("residuals", (2, 0), -math.inf)]:
-            def spoiled(*args):
-                manifold = trace_manifold(*args)
-                columns = {name: getattr(manifold, name).copy()
-                           for name in ("tau", "factors", "residuals", "norms")}
-                columns[column][index] = value
-                return Manifold(**columns)
-
-            monkeypatch.setattr("sfm.solver.trace_manifold", spoiled)
-            with pytest.raises(ValueError) as rejected:
-                to_json(value)
-            assert run_main(argv, monkeypatch, capsys) == (3, "", f"{rejected.value}\n")
 
     def test_tau_zero_grid_is_numerical_failure(self):
         outcome = run_command([

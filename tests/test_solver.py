@@ -205,7 +205,7 @@ class TestDampedStep:
                     for lam in dampings:
                         damped = jac.T @ jac + lam * np.eye(4)
                         with np.errstate(over="ignore", invalid="ignore"):  # as in solve
-                            step = solver._gesv(damped, grad, signature="dd->d")
+                            step = solver._gesv(damped, grad)
                         assert step.tobytes() == np.linalg.solve(damped, grad).tobytes()
 
     def test_gradient_sign_folds_out_of_the_step_bitwise(self, bundled_growth):
@@ -226,8 +226,8 @@ class TestDampedStep:
                     for e in exponents:
                         damped = jac.T.dot(jac) + 10.0 ** e * np.eye(4)
                         with np.errstate(over="ignore", invalid="ignore"):  # as in solve
-                            step = solver._gesv(damped, grad, signature="dd->d")
-                            flipped = solver._gesv(damped, -grad, signature="dd->d")
+                            step = solver._gesv(damped, grad)
+                            flipped = solver._gesv(damped, -grad)
                         assert step.tobytes() == (-flipped).tobytes()
 
     @pytest.mark.parametrize("damped", [
@@ -240,7 +240,7 @@ class TestDampedStep:
             np.linalg.solve(damped, neg_grad)
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
-            step = solver._gesv(damped, neg_grad, signature="dd->d")
+            step = solver._gesv(damped, neg_grad)
         assert step.shape == (4,) and np.isnan(step).all()
 
     def test_a_nan_trial_is_a_rejected_trial(self, bundled_moments, monkeypatch):
@@ -249,9 +249,9 @@ class TestDampedStep:
         # that starts at ten times the initial damping.
         plain, gesv, calls = solve(bundled_moments), solver._gesv, []
 
-        def first_trial_nan(damped, grad, **kwargs):
+        def first_trial_nan(damped, grad):
             calls.append(None)
-            step = gesv(damped, grad, **kwargs)
+            step = gesv(damped, grad)
             return np.full_like(step, np.nan) if len(calls) == 1 else step
 
         monkeypatch.setattr(solver, "_gesv", first_trial_nan)
@@ -290,7 +290,7 @@ def reference_solve(m, cfg):
                 break
             neg_grad, jtj = -(jac.T @ r), jac.T @ jac
             while lam <= solver._DAMPING_MAX:
-                step = solver._gesv(jtj + lam * np.eye(4), neg_grad, signature="dd->d")
+                step = solver._gesv(jtj + lam * np.eye(4), neg_grad)
                 x_new = x + step
                 ac, r_new = evaluate(x_new)
                 norm_new = math.sqrt(r_new @ r_new)

@@ -106,6 +106,11 @@ MUTANTS = (
            "if np.linalg.det(a[i, :3]) == 0.0:",
            "if np.linalg.det(a[i, :3]) != 0.0:",
            ("tests/test_solver.py::TestTraceManifold",)),
+    Mutant("manifold-finite-check-dropped", "src/sfm/solver.py",
+           "            if not finite.all():",
+           "            if False:",
+           ("tests/test_solver.py::TestTraceManifold::test_overflowing_point_is_named",
+            "tests/test_cli.py::TestExitCodes::test_overflowing_manifold_names_its_first_tau")),
     Mutant("manifold-columns-writeable", "src/sfm/solver.py",
            "        column.flags.writeable = False\n",
            "        pass\n",
@@ -211,10 +216,6 @@ MUTANTS = (
            '"norm": "%r", "r5": "%r"',
            ("tests/test_cli.py::TestManifoldCommand::"
             "test_row_template_gives_the_bytes_of_to_json",)),
-    Mutant("manifold-non-finite-unchecked", "src/sfm/cli.py",
-           "    to_json(values[~np.isfinite(values)].tolist())\n",
-           "",
-           ("tests/test_cli.py::TestManifoldCommand::test_non_finite_value_is_numerical_failure",)),
     Mutant("tau-range-unchecked", "src/sfm/cli.py",
            "    if not math.isfinite(args.tau_max - args.tau_min):",
            "    if False:",
