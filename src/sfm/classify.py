@@ -32,7 +32,8 @@ def crra_utility(c: float, tau: float) -> float:
     """(c^(1-tau) - 1) / (1-tau), continuously extended to ln(c) at tau = 1.
 
     Raises:
-        DomainError: if c <= 0 or tau is not a finite number.
+        DomainError: if c <= 0 or tau is not a finite number, or naming (c, tau)
+            if c^(1-tau) leaves the float range.
     """
     if not c > 0:
         raise DomainError("consumption must be positive")
@@ -42,7 +43,12 @@ def crra_utility(c: float, tau: float) -> float:
     if one_m_tau == 0.0:
         return math.log(c)
     # expm1 keeps the limit tau -> 1 accurate; the naive power form cancels.
-    return math.expm1(one_m_tau * math.log(c)) / one_m_tau
+    try:
+        return math.expm1(one_m_tau * math.log(c)) / one_m_tau
+    except OverflowError:
+        raise DomainError(
+            f"utility at (c, tau) = ({c!r}, {tau!r}): c^(1-tau) leaves the float range"
+        ) from None
 
 
 def _mean(values: Sequence[float]) -> float:

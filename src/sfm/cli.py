@@ -24,7 +24,7 @@ from .errors import MAX_DRAWS, MIN_DRAWS, DataError, SolverError
 # The published table's leading columns: the investor and its three parameters.
 _PARAM_HEADER = f"{'Investor':<10}  {'STDF':>8}  {'SFOM':>8}  {'CRRA':>8}"
 
-# Largest --steps: 1e5 manifold points peak at about 131 MiB and take 1.7-2.1 s (2 cores).
+# Largest --steps: 1e5 manifold points peak at about 124 MiB and take 1.7-2.1 s (2 cores).
 MAX_STEPS = 100_000
 
 
@@ -242,8 +242,7 @@ def _cmd_manifold(args) -> str:
     ]}).partition("[")
     point, close, end = body.rsplit("\n", 2)    # the last two lines: "  ]" and "}"
     row = point.replace('"%r"', "%r")
-    values = np.column_stack((manifold.tau, manifold.factors, manifold.residuals, manifold.norms))
-    return f"{head}[{','.join(row % tuple(v) for v in values.tolist())}\n{close}\n{end}"
+    return f"{head}[{','.join(row % tuple(v) for v in manifold.rows.tolist())}\n{close}\n{end}"
 
 
 def _cmd_validate(args) -> str:

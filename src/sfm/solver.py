@@ -86,32 +86,32 @@ class ManifoldPoint(Record):
 
 
 class Manifold:
-    """The traced solution family as columns, one row per grid tau.
+    """The traced solution family as one row per grid tau, in sfm manifold's order.
 
-    ``tau`` (n,), ``factors`` (n, 3) for beta, omega, delta, ``residuals``
-    (n, 4) for r2..r5 and their ``norms`` (n,); trace_manifold returns them
-    read-only. Iteration yields one ManifoldPoint per row, built from the
-    row only when it is reached, so reading every point costs about what
-    building the list of points did; the repr is the repr of that list. Not
-    a Record: its fields are arrays, which compare element by element.
+    ``rows`` (n, 9) holds tau, beta, omega, delta, r2..r5 and the norm;
+    ``tau`` (n,), ``factors`` (n, 3), ``residuals`` (n, 4) and ``norms`` (n,)
+    are views of its columns, read-only as trace_manifold returns them.
+    Iteration yields one ManifoldPoint per row, built from the row only when
+    it is reached, so reading every point costs about what building the list
+    of points did; the repr is the repr of that list. Not a Record: its
+    fields are arrays, which compare element by element.
     """
 
-    __slots__ = ("tau", "factors", "residuals", "norms")
+    __slots__ = ("rows", "tau", "factors", "residuals", "norms")
 
-    def __init__(self, tau: np.ndarray, factors: np.ndarray,
-                 residuals: np.ndarray, norms: np.ndarray):
-        self.tau, self.factors, self.residuals, self.norms = tau, factors, residuals, norms
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        self.tau, self.factors, self.residuals, self.norms = (
+            rows[:, 0], rows[:, 1:4], rows[:, 4:8], rows[:, 8])
 
     def __len__(self) -> int:
-        return len(self.tau)
+        return len(self.rows)
 
     def __iter__(self):
         # Block by block: the row lists of a long manifold are never all alive.
-        for start in range(0, len(self.tau), MANIFOLD_BLOCK):
-            rows = slice(start, start + MANIFOLD_BLOCK)
-            for tau, (beta, omega, delta), (r2, r3, r4, r5), norm in zip(
-                    self.tau[rows].tolist(), self.factors[rows].tolist(),
-                    self.residuals[rows].tolist(), self.norms[rows].tolist()):
+        for start in range(0, len(self.rows), MANIFOLD_BLOCK):
+            for tau, beta, omega, delta, r2, r3, r4, r5, norm in (
+                    self.rows[start:start + MANIFOLD_BLOCK].tolist()):
                 # Positional: keywords make each point about 40% slower to build.
                 yield ManifoldPoint(tau, beta, omega, delta, Residuals(r2, r3, r4, r5, norm))
 
@@ -215,30 +215,27 @@ def trace_manifold(m: MomentSet, tau_grid: np.ndarray | list[float] | tuple[floa
 
     The leftover residual is r5 = -gap by the structural identity. The 3x3
     subsystem has determinant k = tau*rho*sigma_x*sigma_r; k = 0 (tau = 0 or
-    rho = 0) makes it singular. The grid, a sequence or 1-D array, is copied
-    and solved under one float-error guard, one batched gesv call per
-    MANIFOLD_BLOCK values, into the returned Manifold's columns, all finite.
+    rho = 0) makes it singular. The grid, a sequence or 1-D array, is read as
+    floats and solved under one float-error guard, one batched gesv call per
+    MANIFOLD_BLOCK values, into the returned Manifold's own rows, all finite.
 
     Raises:
         SingularSubsystemError: naming the first grid point that is not
             finite, if its 3x3 determinant is 0 (k = 0, or 1 +- k rounds to 1).
         OverflowError: naming that point otherwise.
     """
-    taus = np.array(tau_grid, dtype=float)
-    n = len(taus)
-    factors = np.empty((n, 3))
-    residuals = np.empty((n, 4))
-    norms = np.empty(n)
+    taus = np.asarray(tau_grid, dtype=float)
+    rows = np.empty((len(taus), 9))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, MANIFOLD_BLOCK):
-            rows = slice(start, start + MANIFOLD_BLOCK)
-            tau = taus[rows]
+        for start in range(0, len(taus), MANIFOLD_BLOCK):
+            block = slice(start, start + MANIFOLD_BLOCK)
+            tau = taus[block]
             a, c = affine_system(m, tau, options)
             v = _gesv(a[:, :3], -c[:, :3])   # a zero pivot gives a nan row
-            r = np.add((a @ v[..., None])[..., 0], c, out=residuals[rows])
-            f = np.exp(v, out=factors[rows])
+            r = (a @ v[..., None])[..., 0] + c
+            f = np.exp(v)
             # A row's norm is finite only if each of its residuals is.
-            norm = norms[rows] = np.linalg.norm(r, axis=1)
+            norm = np.linalg.norm(r, axis=1)
             finite = np.isfinite(norm) & np.isfinite(f).all(axis=1)
             if not finite.all():
                 i = np.argmin(finite)
@@ -248,9 +245,9 @@ def trace_manifold(m: MomentSet, tau_grid: np.ndarray | list[float] | tuple[floa
                         f"subsystem in (b, w, d) is singular at tau = {tau[i]} (k = {a[i, 1, 0]})"
                     )
                 raise OverflowError(f"manifold point at tau = {tau[i]} is not finite")
-    for column in (taus, factors, residuals, norms):
-        column.flags.writeable = False
-    return Manifold(taus, factors, residuals, norms)
+            rows[block, 0], rows[block, 1:4], rows[block, 4:8], rows[block, 8] = tau, f, r, norm
+    rows.flags.writeable = False
+    return Manifold(rows)
 
 
 def residual_floor(m: MomentSet, options: ModelOptions = DEFAULT_OPTIONS) -> float:

@@ -60,6 +60,10 @@ class TestCrraUtility:
     def test_log_limit_at_tau_one(self):
         assert crra_utility(7.0, 1.0) == math.log(7.0)
 
+    def test_overflow_names_consumption_and_tau(self):
+        with pytest.raises(DomainError, match=r"^utility at \(c, tau\) = \(3340\.0, -100\.0\): "):
+            crra_utility(3340.0, -100.0)
+
     def test_published_certain_utility_by_inversion(self):
         c = invert_crra(REF_CERTAIN_UTILITY, REF_TAU)
         assert c == pytest.approx(3340.0, abs=0.1)

@@ -586,6 +586,14 @@ class TestClassifyCommand:
         assert (code, out) == (3, "")
         assert err.startswith("equity investor: utilities are not finite")
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_overflowing_utility_names_its_consumption_and_tau(self, fmt, monkeypatch, capsys):
+        argv = with_value(self.ARGS, "--tau", "-100")
+        code, out, err = run_main([*argv, "--format", fmt], monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err == ("utility at (c, tau) = (3339.999988750085, -100.0): "
+                       "c^(1-tau) leaves the float range\n")
+
     def test_json_agrees_with_table(self):
         doc = json.loads(run_ok(self.ARGS + ["--format", "json"]))
         table = run_ok(self.ARGS + ["--format", "table"]).splitlines()

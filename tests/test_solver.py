@@ -30,10 +30,12 @@ from sfm import (
 )
 
 from sfm import model, solver
+from sfm.cli import run_command
 from sfm.model import _table, affine_system, jacobian_array, residual_array
 from sfm.solver import MANIFOLD_BLOCK
 
 import exact
+from conftest import DATA_PATH
 from helpers import (
     ALL_OPTIONS,
     END_POINT_FAILURES,
@@ -500,7 +502,8 @@ class TestTraceManifold:
         # Any sequence or array of the same taus gives the same bytes; an iterator is refused.
         taus = [1, 2, 3]
         expected = [column.tobytes() for column in columns(trace_manifold(bundled_moments, taus))]
-        for grid in (tuple(taus), np.array(taus, dtype=float), np.array(taus)):
+        for grid in (tuple(taus), np.array(taus, dtype=float), np.array(taus),
+                     np.repeat(np.array(taus, dtype=float), 2)[::2]):
             assert [column.tobytes() for column in
                     columns(trace_manifold(bundled_moments, grid))] == expected
         with pytest.raises(TypeError):
@@ -578,10 +581,33 @@ class TestManifoldSequence:
         assert list(long) == column_points(long)
 
     def test_columns_are_read_only(self, manifold):
-        for column in columns(manifold):
+        for column in (manifold.rows, *columns(manifold)):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 1.0
+
+    def test_columns_are_views_of_the_rows(self, manifold):
+        rows = manifold.rows
+        assert rows.shape == (len(self.GRID), 9)
+        for column, part in zip(columns(manifold),
+                                (rows[:, 0], rows[:, 1:4], rows[:, 4:8], rows[:, 8])):
+            assert column.shape == part.shape and np.array_equal(column, part)
+            assert np.shares_memory(column, rows)
+
+    def test_rows_are_in_print_order(self, manifold, bundled_moments):
+        # (tau, beta, omega, delta, r2, r3, r4, r5, norm): a row's residuals are
+        # the model's at its own parameters, and its norm is theirs.
+        for tau, beta, omega, delta, *r, norm in manifold.rows.tolist():
+            x = np.array([math.log(beta), math.log(omega), math.log(delta), tau])
+            assert np.abs(residual_array(bundled_moments, x) - r).max() <= 1e-12
+            assert norm == pytest.approx(math.hypot(*r), rel=1e-15)
+
+    def test_cli_points_in_key_order_are_the_rows(self, manifold):
+        outcome = run_command(["manifold", "--data", str(DATA_PATH), "--tau-min", "0.5",
+                               "--tau-max", "5", "--steps", str(len(self.GRID))])
+        points = json.loads(outcome.payload)["points"]
+        assert [[*head, *residuals.values()] for *head, residuals in map(dict.values, points)] \
+            == manifold.rows.tolist()
 
     def test_points_carry_python_floats_of_the_row(self, manifold):
         for i, point in enumerate(manifold):

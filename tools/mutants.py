@@ -16,13 +16,15 @@ Known equivalent, so not in the table: ``trace_manifold`` blocks one row
 longer (start + MANIFOLD_BLOCK + 1), so that consecutive blocks overlap by
 one row, which the next block recomputes to the same bits; the row
 template of ``sfm manifold`` with ``%s`` fields for ``%r``, since a float's
-``str`` is its ``repr`` in Python 3; and ``trace_manifold``'s finite check
+``str`` is its ``repr`` in Python 3; ``trace_manifold`` reading its grid
+with ``np.array`` (a copy) for ``np.asarray``, since the rows it returns
+hold their own copy of every tau; and ``trace_manifold``'s finite check
 reading ``np.isfinite(r).all(axis=1)`` for the row norms. The two differ
 only where every residual is finite and a square overflows, past 1.3e154,
 but a factor overflows long before: the factors are exp(b, w, d) with
 b + w + d = S, so d, about S + tau^2 sigma2_x / 2 at moderate |S|, passes
 709 first, and at huge |S| beta or delta does. No test can tell any of the
-three apart.
+four apart.
 
     python3 tools/mutants.py              # every mutant, about 2-10 s each
     python3 tools/mutants.py pairwise-edge tau-range-unchecked
@@ -94,13 +96,9 @@ MUTANTS = (
            "    table.flags.writeable = False\n",
            "",
            ("tests/test_model.py",)),
-    Mutant("manifold-grid-aliased", "src/sfm/solver.py",
-           "np.array(tau_grid, dtype=float)",
-           "np.asarray(tau_grid, dtype=float)",
-           ("tests/test_solver.py::TestTraceManifold::test_grid_is_copied",)),
     Mutant("manifold-log-scale", "src/sfm/solver.py",
-           "f = np.exp(v, out=factors[rows])",
-           "f = np.exp(v * (1 + 1e-14), out=factors[rows])",
+           "f = np.exp(v)",
+           "f = np.exp(v * (1 + 1e-14))",
            ("tests/test_solver.py::TestTraceManifold",)),
     Mutant("manifold-singular-test-inverted", "src/sfm/solver.py",
            "if np.linalg.det(a[i, :3]) == 0.0:",
@@ -112,12 +110,17 @@ MUTANTS = (
            ("tests/test_solver.py::TestTraceManifold::test_overflowing_point_is_named",
             "tests/test_cli.py::TestExitCodes::test_overflowing_manifold_names_its_first_tau")),
     Mutant("manifold-columns-writeable", "src/sfm/solver.py",
-           "        column.flags.writeable = False\n",
-           "        pass\n",
+           "    rows.flags.writeable = False\n",
+           "    pass\n",
            ("tests/test_solver.py",)),
+    Mutant("manifold-rows-order", "src/sfm/solver.py",
+           "= tau, f, r, norm",
+           "= tau, f[:, ::-1], r, norm",
+           ("tests/test_cli.py::TestManifoldGolden",
+            "tests/test_solver.py::TestManifoldSequence::test_rows_are_in_print_order")),
     Mutant("iteration-block-short", "src/sfm/solver.py",
-           "rows = slice(start, start + MANIFOLD_BLOCK)\n            for tau,",
-           "rows = slice(start, start + MANIFOLD_BLOCK - 1)\n            for tau,",
+           "self.rows[start:start + MANIFOLD_BLOCK]",
+           "self.rows[start:start + MANIFOLD_BLOCK - 1]",
            ("tests/test_solver.py",)),
     Mutant("solve-no-errstate", "src/sfm/solver.py",
            'with np.errstate(over="ignore", invalid="ignore"):\n        r, jac',
@@ -177,6 +180,12 @@ MUTANTS = (
            "if one_m_tau == 0.0:",
            "if abs(one_m_tau) < 1e-8:",
            ("tests/test_classify.py::TestCrraUtility::test_matches_an_exact_reference",)),
+    Mutant("crra-overflow-unnamed", "src/sfm/classify.py",
+           "    except OverflowError:",
+           "    except ZeroDivisionError:",
+           ("tests/test_classify.py::TestCrraUtility::test_overflow_names_consumption_and_tau",
+            "tests/test_cli.py::TestClassifyCommand::"
+            "test_overflowing_utility_names_its_consumption_and_tau")),
     Mutant("uncertain-beta-dropped", "src/sfm/classify.py",
            "return beta * _mean(",
            "return _mean(",
