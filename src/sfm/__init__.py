@@ -4,7 +4,15 @@ Submodules load on first use (PEP 562): ``import sfm`` imports none of them,
 and ``sfm.solve`` imports ``sfm.solver`` the first time it is read.
 """
 
+import os
+import sys
 from importlib import import_module
+
+# One OpenBLAS thread if numpy is not loaded yet: sfm's BLAS calls (4x4 SVDs,
+# 3x3 solves, dots under the threading threshold) run on one anyway, and
+# starting a second slows numpy's import. A value the user set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import math
-import os
 import sys
 from collections import namedtuple
 
@@ -315,11 +314,7 @@ def main() -> None:
     # A fresh sfm process; one that already holds numpy (an embedding script,
     # a test run) is left as it is.
     fresh = "numpy" not in sys.modules
-    # One OpenBLAS thread: sfm's largest BLAS calls (a 4x4 SVD, 3x3 solves) run
-    # on one anyway, and a second one spin-waits for work. Read when numpy
-    # loads; a value the user set wins.
     if fresh:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         # No cyclic collector: it ran 30-40 times a command, 5-7 ms in all,
         # mostly over numpy's import, and reference counting frees what a
         # command builds.

@@ -5,7 +5,9 @@ each float in it, each tau and each point stands for the rational number it
 represents. Everything after that is done in ``fractions.Fraction``, with no
 rounding, so a float result can be held to its own rounding error alone
 (forward-error bounds of the form eps * cond, as in Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 7).
+Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 7). ``jacobian``
+reads no table: it writes the model's derivatives from the ``MomentSet``
+floats, the oracle for the solver's singular values.
 
 The lognormal power moments are another oracle here: expectations of the
 jointly lognormal pair by Gauss-Hermite quadrature, a derivation that shares
@@ -87,6 +89,31 @@ def least_squares_point(table: np.ndarray, tau: float) -> list[Fraction]:
     rows = system(table, tau)
     normal = [[sum(row[i] * row[j] for row in rows) for j in range(3)] for i in range(3)]
     return _cramer(normal, [-sum(row[i] * row[3] for row in rows) for i in range(3)])
+
+
+def jacobian(m, x, eq3_variant: str) -> list[list[Fraction]]:
+    """d(r2, r3, r4, r5)/d(b, w, d, tau) at x = (b, w, d, tau), from the model's equations.
+
+    Built from the ``MomentSet`` floats, not from the coefficient table:
+    F = ln(mean_rf) and kappa = rho sqrt(sigma2_x sigma2_r) are taken to 60
+    digits in ``decimal``, everything else is rational. Only r3's row holds
+    them, so the rows meet r2 + r4 - r5 = 0 exactly and the matrix has rank
+    at most 3: its smallest singular value is 0.
+    """
+    with localcontext(Context(prec=60)):
+        ln_rf = Fraction(Decimal(float(m.mean_rf)).ln())
+        kappa = Fraction(Decimal(float(m.rho))
+                         * (Decimal(float(m.sigma2_x)) * Decimal(float(m.sigma2_r))).sqrt())
+    mu, s2 = Fraction(float(m.mu_x)), Fraction(float(m.sigma2_x))
+    b, w, d, tau = (Fraction(float(value)) for value in x)
+    k = tau * kappa
+    f_per_k = -ln_rf if eq3_variant == "printed" else ln_rf
+    return [
+        [Fraction(1), Fraction(1), Fraction(0), -mu + tau * s2],
+        [k, 1 + k, k - 1, kappa * (b + w + d + f_per_k)],
+        [Fraction(0), Fraction(-1), Fraction(1), -s2],
+        [Fraction(1), Fraction(0), Fraction(1), -mu - s2 + tau * s2],
+    ]
 
 
 def lognormal_power_moments(a: float, b: float, mu_x: float, sigma_x: float, mu_y: float,

@@ -74,7 +74,7 @@ def random_params(rng: np.random.Generator) -> ModelParams:
 
 
 def fresh_run(argv, check=False):
-    """``python -m sfm.cli <argv>`` run to its exit; its numpy loads with main's one-thread default."""
+    """``python -m sfm.cli <argv>`` run to its exit; importing sfm starts numpy on one thread."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, "-m", "sfm.cli", *argv], capture_output=True,
                           check=check, timeout=120, env=env)

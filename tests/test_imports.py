@@ -78,9 +78,9 @@ def run_main(argv) -> str:
             "              os.environ.get('OPENBLAS_NUM_THREADS')]")
 
 
-# A fresh main runs its command without the cyclic collector and with one
-# OpenBLAS thread, and freezes what it left: frozen objects sit in the
-# permanent generation, which the shutdown collections skip.
+# A fresh main runs its command without the cyclic collector and with the one
+# OpenBLAS thread that importing sfm set, and freezes what it left: frozen
+# objects sit in the permanent generation, which the shutdown collections skip.
 FRESH = [False, True, "1"]
 
 
@@ -94,7 +94,20 @@ def test_command_loads_only_its_modules(row):
     assert [m for m in HEAVY if m in modules] == list(heavy)
 
 
-# Unset, the variable reads "1" after each CONTRACT row; numpy loaded first, see below.
+# OPENBLAS_NUM_THREADS after ``import sfm``, from the value the child started with.
+@pytest.mark.parametrize("user_value, numpy_first, expected", [
+    (None, False, "1"),     # the package's default
+    ("3", False, "3"),      # the user's value wins
+    (None, True, None),     # a process that holds numpy is left as it is
+])
+def test_import_defaults_openblas_to_one_thread(user_value, numpy_first, expected):
+    code = ("import numpy\n" if numpy_first else "") + (
+        "import os\nimport sfm\nresult = os.environ.get('OPENBLAS_NUM_THREADS')")
+    assert loaded_by(code, user_value)[1] == expected
+
+
+# Unset, the variable reads "1" after each CONTRACT row, as the import of sfm
+# that main's module starts with set it; numpy loaded first, see below.
 @pytest.mark.parametrize("user_value, numpy_first, expected", [
     ("3", False, "3"),      # the user's value wins
 ])
@@ -109,7 +122,8 @@ def test_main_defaults_openblas_to_one_thread(user_value, numpy_first, expected)
 @pytest.mark.parametrize("row", ["moments", "usage-error", "moments-missing-data"])
 def test_fresh_main_freezes_its_heap_before_exit(row, numpy_first):
     # A process that already holds numpy is left as it is: the collector on,
-    # nothing frozen and OPENBLAS_NUM_THREADS unset.
+    # nothing frozen, and OPENBLAS_NUM_THREADS unset, since importing sfm
+    # after numpy sets nothing.
     argv, exit_code = CONTRACT[row][:2]
     code = ("import numpy\n" if numpy_first else "") + run_main(argv)
     expected = [True, False, None] if numpy_first else FRESH

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -187,6 +188,64 @@ class TestSolve:
         with pytest.raises(SolverError) as raised:
             solve(bundled_moments, SolverConfig(initial=bad))
         assert str(raised.value) == END_POINT_FAILURES[tau0]
+
+
+def end_point_jacobian(m, cfg):
+    """A solve's Solution, and the Jacobian its singular values come from with
+    that Jacobian's point, both as the solver held them."""
+    held = {}
+    jacobian_rank, first, accepted = (solver._jacobian_rank, solver.jacobian_array,
+                                      solver._jacobian_from)
+
+    def at_point(build):
+        def tracked(source, x, *rest):
+            held["x"] = x
+            return build(source, x, *rest)
+        return tracked
+
+    def rank(jac):
+        held["jac"] = jac
+        return jacobian_rank(jac)
+
+    with mock.patch.object(solver, "_jacobian_rank", rank), \
+            mock.patch.object(solver, "jacobian_array", at_point(first)), \
+            mock.patch.object(solver, "_jacobian_from", at_point(accepted)):
+        solution = solve(m, cfg)
+    return solution, held["jac"], held["x"]
+
+
+def assert_smallest_singular_value_is_rounding(m, cfg):
+    # The exact Jacobian's rows meet r2 + r4 - r5 = 0, so its sigma_4 is 0. The
+    # solver's J lies within rounding of it, and by Weyl's inequality
+    # sigma_4(J) <= ||J - J_exact||_2 <= ||J - J_exact||_F; LAPACK's SVD adds a
+    # backward error of a small multiple of eps * sigma_1. Over 1,008 bundled
+    # and random solves the distance reached 0.25 eps ||J_exact||_F and sigma_4
+    # exceeded it by 0.34 eps * sigma_1 at most; each bound allows 4 eps.
+    eps = np.finfo(float).eps
+    solution, jac, x = end_point_jacobian(m, cfg)
+    j_exact = exact.jacobian(m, x, cfg.options.eq3_variant)
+    assert all(r2 + r4 - r5 == 0 for r2, _, r4, r5 in zip(*j_exact))
+    distance = math.sqrt(float(sum((Fraction(value) - e) ** 2 for row, row_exact
+                                   in zip(jac.tolist(), j_exact)
+                                   for value, e in zip(row, row_exact))))
+    assert distance <= 4 * eps * math.sqrt(float(sum(e * e for row in j_exact for e in row)))
+    sigma = solution.jacobian_singular_values
+    assert sigma[3] <= distance + 4 * eps * sigma[0]
+
+
+class TestSingularValueOracle:
+    @pytest.mark.parametrize("variance", ["sample", "population"])
+    @pytest.mark.parametrize("options", ALL_OPTIONS,
+                             ids=lambda options: f"{options.eq3_variant}/{options.lnex_mode}")
+    def test_bundled_sigma_4_is_rounding_of_zero(self, bundled_growth, variance, options):
+        m = estimate_moments(bundled_growth, variance)
+        assert_smallest_singular_value_is_rounding(m, SolverConfig(options=options))
+
+    @PROPERTY_SETTINGS
+    @given(m=moment_sets(), options=st.sampled_from(ALL_OPTIONS), start=log_points)
+    def test_sigma_4_is_rounding_of_zero(self, m, options, start):
+        cfg = SolverConfig(initial=ModelParams.from_log(*start), options=options)
+        assert_smallest_singular_value_is_rounding(m, cfg)
 
 
 class TestDampedStep:

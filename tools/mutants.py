@@ -190,6 +190,14 @@ MUTANTS = (
            "return beta * _mean(",
            "return _mean(",
            ("tests/test_metamorphic.py::test_scaling_consumption_scales_the_uncertain_utility",)),
+    Mutant("openblas-default-dropped", "src/sfm/__init__.py",
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")',
+           "pass",
+           ("tests/test_imports.py::test_import_defaults_openblas_to_one_thread",)),
+    Mutant("openblas-default-overrides-user", "src/sfm/__init__.py",
+           'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")',
+           'os.environ["OPENBLAS_NUM_THREADS"] = "1"',
+           ("tests/test_imports.py::test_import_defaults_openblas_to_one_thread",)),
     Mutant("freeze-always", "src/sfm/cli.py",
            "    if fresh:\n        # Shutdown runs",
            "    if True:\n        # Shutdown runs",
